@@ -129,24 +129,21 @@ void PrintTables() {
       struct Run {
         AlgoTally* tally;
         Result<TopKResult> (*run)(std::span<GradedSource* const>,
-                                  const ScoringRule&, size_t,
-                                  const ParallelOptions&);
+                                  const ScoringRule&, size_t);
       };
       const auto run_ca = +[](std::span<GradedSource* const> s,
-                              const ScoringRule& r, size_t k,
-                              const ParallelOptions& o) {
-        return CombinedTopK(s, r, k, 2, o);
+                              const ScoringRule& r, size_t k) {
+        return CombinedTopK(s, r, k, 2);
       };
       const auto run_ta = +[](std::span<GradedSource* const> s,
-                              const ScoringRule& r, size_t k,
-                              const ParallelOptions& o) {
-        return ThresholdTopK(s, r, k, o);
+                              const ScoringRule& r, size_t k) {
+        return ThresholdTopK(s, r, k);
       };
       for (const Run& r : {Run{&ta, run_ta}, Run{&ca, run_ca}}) {
-        TopKResult golden = CheckedValue(
-            r.run(ref_set, *MinRule(), kK, {}), "E21 golden");
+        TopKResult golden =
+            CheckedValue(r.run(ref_set, *MinRule(), kK), "E21 golden");
         TopKResult got =
-            CheckedValue(r.run(drv_set, *MinRule(), kK, {}), "E21 driver run");
+            CheckedValue(r.run(drv_set, *MinRule(), kK), "E21 driver run");
         if (golden.items.size() != got.items.size()) {
           ++r.tally->mismatches;
         } else {

@@ -12,9 +12,9 @@
 // ratio (~30% of the stream repeats a hot canonical key).
 //
 // Every completed answer is compared bit-for-bit against a serial
-// ExecuteTopK of the same plan — the server's determinism contract: with
-// serial per-query ParallelOptions, concurrency lives between queries, so
-// mismatches must be zero at every pool size and load. A second section
+// ExecuteTopK of the same plan — the server's determinism contract:
+// concurrency lives between queries, so mismatches must be zero at every
+// pool size and load. A second section
 // puts derived budgets (headroom × the plan's sorted-access estimate) on
 // the adversarial PathologicalMiddle workload and cross-checks the
 // truncated partial results between a pooled and an inline server.
@@ -126,8 +126,8 @@ QueryCtx MakeCtx(const Workload& w, bool with_join) {
   return ctx;
 }
 
-// The server's execution path run serially: same plan choice, same serial
-// ParallelOptions — the reference every concurrent answer must match.
+// The server's execution path run on the calling thread: same plan choice —
+// the reference every concurrent answer must match.
 ExecutionResult SerialReference(size_t mix, const Workload& w, size_t k) {
   QueryCtx ctx = MakeCtx(w, mix % 4 == 3);
   QueryPtr query = MixQuery(mix, "ref");

@@ -116,7 +116,7 @@ class JsonReport {
       return;
     }
     out << ToString();
-    std::cout << "wrote " << path << " (" << entries_.size() << " metrics)\n";
+    std::cout << "wrote " << path << " (" << size() << " metrics)\n";
   }
 
   /// WriteFile, but refuses to silently downgrade: if `path` already holds a

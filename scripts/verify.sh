@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Build-and-test gate for local use and CI.
 #
-#   scripts/verify.sh [plain|asan|tsan|checks|lint|simd|all]
+#   scripts/verify.sh [plain|asan|tsan|checks|lint|analyze|simd|server|
+#                      storage|fuzzbench|bench|all]
 #
 #   plain   Release build at CHECKIN warning level (-Werror), full ctest
 #           suite (the tier-1 gate).
 #   asan    AddressSanitizer + UBSan build, full ctest suite.
 #   tsan    ThreadSanitizer build; runs the ctest label `concurrency`
-#           (thread pool, sharded kernels, embedding layer, parallel
-#           middleware, schedule fuzzers) with halt_on_error and a retry
-#           only for timeouts — data-race findings are never retried away.
+#           (thread pool, sharded kernels, embedding layer, query server,
+#           schedule fuzzers) with halt_on_error and a retry only for
+#           timeouts — data-race findings are never retried away.
 #   checks  FUZZYDB_CHECKS=ON build: paper-invariant contract macros compiled
 #           in and the src/analysis property auditors exercised by the full
 #           suite (analysis_contract_test runs its instrumentation leg).
@@ -38,13 +39,18 @@
 #           concurrency labels, then a FUZZYDB_SMOKE=1 pass of
 #           exp23_out_of_core (bounded-RSS paging end to end; warm int8
 #           queries asserted to read zero disk bytes inside the bench).
+#   fuzzbench
+#           Configures the standalone fuzzbench/ package into
+#           .bench_build/fuzzbench, builds it, and runs its fuzzbench_smoke
+#           ctest — catches src/ API changes that break the benchmark
+#           build, which the tier-1 suite does not compile.
 #   bench   Native-arch Release build; runs the perf-trajectory benches
-#           (exp16, exp18, exp19, exp21, exp22, exp23) so their BENCH_*.json land in the repo
-#           root. Not a gate: on a 1-hardware-thread host it warns loudly
+#           (exp16, exp21, exp22, exp23) so their BENCH_*.json land in the
+#           repo root. Not a gate: on a 1-hardware-thread host it warns loudly
 #           and the reports carry "contention_only": true — the guarded
 #           writer refuses to overwrite a multi-core report with one.
-#   all     plain + asan + tsan + checks + simd + server + storage + lint +
-#           analyze (default; bench is opt-in).
+#   all     plain + asan + tsan + checks + simd + server + storage +
+#           fuzzbench + lint + analyze (default; bench is opt-in).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -117,6 +123,11 @@ case "${MODE}" in
     cmake --build build-asan -j "${JOBS}" --target exp23_out_of_core
     FUZZYDB_SMOKE=1 ./build-asan/bench/exp23_out_of_core \
       --benchmark_min_time=0.01 ;;
+  fuzzbench)
+    cmake -B .bench_build/fuzzbench -S fuzzbench -DCMAKE_BUILD_TYPE=Release
+    cmake --build .bench_build/fuzzbench -j "${JOBS}"
+    ctest --test-dir .bench_build/fuzzbench --output-on-failure \
+      -R fuzzbench_smoke ;;
   bench)
     HW="$(nproc 2>/dev/null || echo 1)"
     if [ "${HW}" -le 1 ]; then
@@ -126,14 +137,9 @@ case "${MODE}" in
     fi
     cmake -B build-native -S . -DFUZZYDB_NATIVE_ARCH=ON
     cmake --build build-native -j "${JOBS}" --target \
-      exp16_embedding_cascade exp18_parallel_middleware \
-      exp19_adaptive_parallel exp21_rtree_driver exp22_query_server \
+      exp16_embedding_cascade exp21_rtree_driver exp22_query_server \
       exp23_out_of_core
     ./build-native/bench/exp16_embedding_cascade \
-      --benchmark_min_time=0.01
-    ./build-native/bench/exp18_parallel_middleware \
-      --benchmark_min_time=0.01
-    ./build-native/bench/exp19_adaptive_parallel \
       --benchmark_min_time=0.01
     ./build-native/bench/exp21_rtree_driver \
       --benchmark_min_time=0.01
@@ -149,10 +155,11 @@ case "${MODE}" in
     "$0" simd
     "$0" server
     "$0" storage
+    "$0" fuzzbench
     "$0" lint
     "$0" analyze ;;
   *)
-    echo "usage: $0 [plain|asan|tsan|checks|lint|analyze|simd|server|storage|bench|all]" >&2
+    echo "usage: $0 [plain|asan|tsan|checks|lint|analyze|simd|server|storage|fuzzbench|bench|all]" >&2
     exit 2 ;;
 esac
 

@@ -1,8 +1,8 @@
 // Capability-annotated synchronization layer (DESIGN §3i).
 //
 // Every mutex-discipline invariant in the concurrent stack — the ThreadPool
-// job/task queues, the PrefetchSource ring buffer, the AccessLogSource log,
-// the RtreeKnnSource refinement cache, the JsonReport entry list — used to
+// job/task queues, the query server's admission state, the RtreeKnnSource
+// refinement cache, the JsonReport entry list — used to
 // be checked only dynamically, by whatever schedules the TSan leg happened
 // to hit. Clang's Thread Safety Analysis ("C/C++ Thread Safety Analysis",
 // Hutchins et al., -Wthread-safety) proves lock-held-before-access at

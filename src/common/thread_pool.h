@@ -1,7 +1,7 @@
 // A small fixed-size thread pool driving blocking parallel-for loops — the
 // execution substrate for the sharded embedding kernels
-// (image/embedding_store.h), the middleware prefetch/batch layer
-// (middleware/parallel.h), and any other data-parallel scan.
+// (image/embedding_store.h), the query server's per-query tasks
+// (server/query_server.h), and any other data-parallel scan.
 //
 // Design points:
 //   - ParallelFor(n, fn) blocks until every fn(i) has returned; the calling
@@ -15,8 +15,8 @@
 //   - TryPost enqueues a fire-and-forget task onto a *bounded* queue; when
 //     the queue is full (or the pool has no workers) it refuses, which is
 //     the backpressure signal: the caller runs the work itself instead of
-//     piling up unbounded speculative tasks. Blocking jobs take priority
-//     over queued tasks, so prefetching never delays a ParallelFor.
+//     piling up unbounded tasks. Blocking jobs take priority over queued
+//     tasks, so posted work never delays a ParallelFor.
 //   - All state is mutex/condvar protected (no lock-free cleverness), which
 //     keeps the pool ThreadSanitizer-clean by construction — and, since the
 //     migration to the annotated sync layer, provably lock-disciplined at
@@ -41,8 +41,8 @@ namespace fuzzydb {
 /// the calling thread) or later (on any thread); every accepted task runs
 /// exactly once, and implementations must not drop tasks silently while
 /// callers can still observe their effects. The indirection exists so tests
-/// can inject hostile schedulers (deferred, shuffled) under the middleware
-/// prefetch layer.
+/// can inject hostile schedulers (deferred, shuffled) under the query
+/// server.
 class TaskExecutor {
  public:
   virtual ~TaskExecutor() = default;

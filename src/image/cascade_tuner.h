@@ -58,7 +58,7 @@ struct CascadeTunerOptions {
   /// Modeled bookkeeping cost of admitting one candidate into refinement,
   /// expressed in dimension accumulations.
   double candidate_overhead = 4.0;
-  /// Candidate shard counts (DESIGN §3f). Empty: {1}, widened to {1, 2,
+  /// Candidate shard counts (DESIGN §3c). Empty: {1}, widened to {1, 2,
   /// executors} when `pool` offers real parallelism. Sharding never changes
   /// answers (CascadeKnn is bit-identical at any shard count) but shifts
   /// work: shard-local pruning does more refinements, spread over more

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "image/knn_kernel.h"
+
 namespace fuzzydb {
 
 namespace {
@@ -29,15 +31,6 @@ int8_t QuantizeValue(double value, double scale) {
     return static_cast<int8_t>(-simd::kInt8CodeMax);
   }
   return static_cast<int8_t>(std::lround(scaled));
-}
-
-void RunShards(ThreadPool* pool, size_t shards,
-               const std::function<void(size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->ParallelFor(shards, fn);
-  } else {
-    for (size_t s = 0; s < shards; ++s) fn(s);
-  }
 }
 
 }  // namespace
@@ -154,10 +147,9 @@ void QuantizedStore::BatchLowerBounds2(const EncodedQuery& query,
                                        std::span<double> out, ThreadPool* pool,
                                        size_t shards) const {
   assert(out.size() == size_);
-  if (shards == 0) shards = pool != nullptr ? pool->executors() : 1;
-  shards = std::max<size_t>(1, std::min(shards, std::max<size_t>(size_, 1)));
-  const std::vector<ShardRange> ranges = MakeShards(size_, shards);
-  RunShards(pool, ranges.size(), [&](size_t s) {
+  const std::vector<ShardRange> ranges =
+      MakeShards(size_, knn_internal::ResolveShards(shards, pool, size_));
+  knn_internal::RunShards(pool, ranges.size(), [&](size_t s) {
     for (size_t i = ranges[s].begin; i < ranges[s].end; ++i) {
       out[i] = LowerBound2(query, i);
     }

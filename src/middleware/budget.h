@@ -11,13 +11,11 @@
 // result instead of aborting, and ExecuteTopK surfaces the interruption as
 // ExecutionResult::completion (never as a failed Result).
 //
-// Determinism: the budget is charged on *consumed* sorted accesses, above
-// the prefetch layer, in the algorithm's own (serial) consumption order —
-// speculative PrefetchSource fetches below the gate never touch it. A fixed
-// budget therefore truncates at exactly the same access prefix at every
-// pool size and prefetch depth, so partial answers are bit-identical to a
-// serial run with the same budget (enforced by tests/server_query_server_
-// test.cc). Cancellation and deadlines are inherently timing-dependent:
+// Determinism: the budget is charged on sorted accesses in the algorithm's
+// own consumption order, so a fixed budget truncates at exactly the same
+// access prefix on every run, and a served partial answer is bit-identical
+// to an ExecuteTopK with the same budget at every server pool size
+// (enforced by tests/server_query_server_test.cc). Cancellation and deadlines are inherently timing-dependent:
 // *whether* they fire is a race, but the result is always some consumed
 // prefix's top-k, and the completion Status says which interruption won.
 

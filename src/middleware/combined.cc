@@ -17,13 +17,8 @@ struct Partial {
 }  // namespace
 
 Result<TopKResult> CombinedTopK(std::span<GradedSource* const> sources,
-                                const ScoringRule& rule, size_t k, size_t h) {
-  return CombinedTopK(sources, rule, k, h, ParallelOptions{});
-}
-
-Result<TopKResult> CombinedTopK(std::span<GradedSource* const> sources,
                                 const ScoringRule& rule, size_t k, size_t h,
-                                const ParallelOptions& parallel) {
+                                AccessGovernor* governor) {
   FUZZYDB_RETURN_NOT_OK(ValidateTopKArgs(sources, &rule, k));
   if (h == 0) return Status::InvalidArgument("h must be >= 1");
   if (!rule.monotone()) {
@@ -33,7 +28,7 @@ Result<TopKResult> CombinedTopK(std::span<GradedSource* const> sources,
 
   const size_t m = sources.size();
   TopKResult result;
-  ParallelSourceSet set(sources, parallel);
+  SourceSet set(sources, governor);
 
   std::unordered_map<ObjectId, Partial> seen;
   std::vector<double> last_seen(m, 1.0);
@@ -52,23 +47,11 @@ Result<TopKResult> CombinedTopK(std::span<GradedSource* const> sources,
     }
     return rule.Apply(buf);
   };
-  // One resolution = at most one missing-grade probe per source, batched
-  // through ResolveProbes so a pool shards them by source. The serial
-  // fallback resolves in ascending j — exactly the historical loop — and a
-  // sharded run preserves each source's (single-probe) sequence, so
-  // per-source access logs are identical either way.
-  std::vector<ProbeList> probes(m);
-  std::vector<std::vector<double>> probe_rows;
+  // One resolution: random-access every still-missing grade, ascending j.
   auto resolve = [&](ObjectId id, Partial* p) {
     for (size_t j = 0; j < m; ++j) {
-      probes[j].probes.clear();
-      if (!p->known[j]) probes[j].probes.push_back({0, id});
-    }
-    probe_rows.assign(1, std::vector<double>(m, 0.0));
-    ResolveProbes(set.counted(), probes, &probe_rows, set.pool());
-    for (size_t j = 0; j < m; ++j) {
       if (!p->known[j]) {
-        p->grades[j] = probe_rows[0][j];
+        p->grades[j] = set.counted(j).RandomAccess(id);
         p->known[j] = true;
         ++p->num_known;
       }

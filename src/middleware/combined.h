@@ -11,7 +11,6 @@
 #ifndef FUZZYDB_MIDDLEWARE_COMBINED_H_
 #define FUZZYDB_MIDDLEWARE_COMBINED_H_
 
-#include "middleware/parallel.h"
 #include "middleware/topk.h"
 
 namespace fuzzydb {
@@ -20,19 +19,11 @@ namespace fuzzydb {
 /// resolved by random access every h parallel sorted rounds. Requires a
 /// monotone rule. Returned grades are exact for resolved winners and
 /// certified lower bounds otherwise (`grades_exact` reports which).
+/// `governor`, when set, gates every sorted access (middleware/budget.h).
 Result<TopKResult> CombinedTopK(std::span<GradedSource* const> sources,
                                 const ScoringRule& rule, size_t k,
-                                size_t h = 1);
-
-/// Parallel CA (DESIGN §3f): the NRA-style sorted rounds run over
-/// PrefetchSource pipelines and the every-h-rounds resolution batches its
-/// (at most one per source) random probes through ResolveProbes. Per-source
-/// access sequences — and therefore consumed counts, bounds, and the
-/// returned top k — are identical to the serial loop at any prefetch depth
-/// and pool size; only AccessCost::prefetched varies.
-Result<TopKResult> CombinedTopK(std::span<GradedSource* const> sources,
-                                const ScoringRule& rule, size_t k, size_t h,
-                                const ParallelOptions& parallel);
+                                size_t h = 1,
+                                AccessGovernor* governor = nullptr);
 
 }  // namespace fuzzydb
 

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "common/contract.h"
 #include "middleware/budget.h"
@@ -44,8 +46,7 @@ struct IndexDriverCalibration {
 };
 
 /// Per-access prices, in arbitrary cost units. Consumed by the optimizer's
-/// estimates, by CA's default random-access period, and by the adaptive
-/// prefetch-depth heuristic (DESIGN §3f).
+/// estimates and by CA's default random-access period.
 struct CostModel {
   /// Cost of one sorted access.
   double sorted_unit = 1.0;
@@ -68,27 +69,13 @@ inline size_t DefaultCombinedPeriod(const CostModel& model) {
       1.0, model.random_unit / std::max(model.sorted_unit, 1e-9)));
 }
 
-/// Counts of the two access modes, plus the speculative work the prefetch
-/// layer did on the algorithm's behalf.
+/// Counts of the two access modes.
 struct AccessCost {
   uint64_t sorted = 0;
   uint64_t random = 0;
-  /// Sorted accesses a PrefetchSource issued ahead of consumption that the
-  /// algorithm never popped. Kept out of `sorted` (and `total()`) so the
-  /// Theorem 4.1 cost claims stay stated in consumed accesses — the counts
-  /// the serial loop would have issued — while the speculative overhang is
-  /// still visible instead of silently hidden. Schedule-dependent: two runs
-  /// may waste different amounts even though `sorted`/`random` are
-  /// bit-identical.
-  uint64_t prefetched = 0;
 
-  /// The paper's database access cost: sorted + random. Excludes
-  /// `prefetched` (see above).
+  /// The paper's database access cost: sorted + random.
   uint64_t total() const { return sorted + random; }
-
-  /// Every inner access actually issued, speculation included — what the
-  /// subsystems really served, as opposed to what the cost model charges.
-  uint64_t total_issued() const { return sorted + random + prefetched; }
 
   /// Charged cost with a per-random-access unit price relative to one
   /// sorted access costing 1 (paper §4's "more realistic cost measure").
@@ -100,7 +87,6 @@ struct AccessCost {
   AccessCost& operator+=(const AccessCost& other) {
     sorted += other.sorted;
     random += other.random;
-    prefetched += other.prefetched;
     return *this;
   }
 };
@@ -179,6 +165,37 @@ class CountingSource final : public GradedSource {
   AccessGovernor* governor_ = nullptr;
   // Last streamed object, for the sorted-order contract check.
   std::optional<GradedObject> prev_streamed_;
+};
+
+struct TopKResult;
+
+/// Per-run source scaffolding shared by every top-k plan but the naive scan:
+/// wraps each raw source in a CountingSource charging its own AccessCost,
+/// installs the query's governor (null: unbudgeted), restarts the sorted
+/// cursors, and on Finalize() folds the per-source tallies into the result.
+class SourceSet {
+ public:
+  SourceSet(std::span<GradedSource* const> sources,
+            AccessGovernor* governor = nullptr)
+      : per_source_(sources.size()) {
+    counted_.reserve(sources.size());
+    for (size_t j = 0; j < sources.size(); ++j) {
+      counted_.emplace_back(sources[j], &per_source_[j]);
+      counted_[j].set_governor(governor);
+      counted_[j].RestartSorted();
+    }
+  }
+  SourceSet(const SourceSet&) = delete;
+  SourceSet& operator=(const SourceSet&) = delete;
+
+  CountingSource& counted(size_t j) { return counted_[j]; }
+
+  /// Fills result->per_source and result->cost (defined in topk.cc).
+  void Finalize(TopKResult* result);
+
+ private:
+  std::vector<AccessCost> per_source_;
+  std::vector<CountingSource> counted_;
 };
 
 }  // namespace fuzzydb

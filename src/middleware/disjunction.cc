@@ -6,46 +6,22 @@
 namespace fuzzydb {
 
 Result<TopKResult> DisjunctionTopK(std::span<GradedSource* const> sources,
-                                   size_t k) {
-  return DisjunctionTopK(sources, k, ParallelOptions{});
-}
-
-Result<TopKResult> DisjunctionTopK(std::span<GradedSource* const> sources,
-                                   size_t k,
-                                   const ParallelOptions& parallel) {
+                                   size_t k, AccessGovernor* governor) {
   ScoringRulePtr max_rule = MaxRule();
   FUZZYDB_RETURN_NOT_OK(ValidateTopKArgs(sources, max_rule.get(), k));
 
   const size_t m = sources.size();
   TopKResult result;
-  ParallelSourceSet set(sources, parallel);
+  SourceSet set(sources, governor);
 
-  // Scan phase: each list's top-k prefix is independent of every other
-  // list, so the pool runs one scan per source. Each scan only touches its
-  // own CountingSource (and its own slot of `scanned`) — no shared state.
-  std::vector<std::vector<GradedObject>> scanned(m);
-  auto scan_source = [&](size_t j) {
-    scanned[j].reserve(k);
+  // Each list's top-k prefix, merged in source order.
+  std::unordered_map<ObjectId, double> best;
+  for (size_t j = 0; j < m; ++j) {
     for (size_t i = 0; i < k; ++i) {
       std::optional<GradedObject> next = set.counted(j).NextSorted();
       if (!next.has_value()) break;
-      scanned[j].push_back(*next);
-    }
-  };
-  if (set.pool() != nullptr && set.pool()->executors() > 1 && m > 1) {
-    set.pool()->ParallelFor(m, scan_source);
-  } else {
-    for (size_t j = 0; j < m; ++j) scan_source(j);
-  }
-
-  // Merge phase, serial and in source order: the same try_emplace sequence
-  // the serial loop performs, so the candidate map (and its iteration
-  // order, which the partial_sort tie-breaks inherit) is identical.
-  std::unordered_map<ObjectId, double> best;
-  for (size_t j = 0; j < m; ++j) {
-    for (const GradedObject& g : scanned[j]) {
-      auto [it, inserted] = best.try_emplace(g.id, g.grade);
-      if (!inserted) it->second = std::max(it->second, g.grade);
+      auto [it, inserted] = best.try_emplace(next->id, next->grade);
+      if (!inserted) it->second = std::max(it->second, next->grade);
     }
   }
 

@@ -11,23 +11,15 @@
 #ifndef FUZZYDB_MIDDLEWARE_DISJUNCTION_H_
 #define FUZZYDB_MIDDLEWARE_DISJUNCTION_H_
 
-#include "middleware/parallel.h"
 #include "middleware/topk.h"
 
 namespace fuzzydb {
 
 /// Top-k under the max rule with cost m·min(k, N) and no random accesses.
+/// `governor`, when set, gates every sorted access (middleware/budget.h).
 Result<TopKResult> DisjunctionTopK(std::span<GradedSource* const> sources,
-                                   size_t k);
-
-/// Parallel shortcut (DESIGN §3f): the m per-list top-k scans are fully
-/// independent, so a pool runs them concurrently (one source per task, with
-/// optional prefetch pipelines underneath); the per-list candidates are then
-/// merged serially in source order, which is exactly the serial loop's
-/// insertion sequence. Answers, per-source consumed counts, and tie-breaks
-/// are identical to the serial shortcut at any pool size.
-Result<TopKResult> DisjunctionTopK(std::span<GradedSource* const> sources,
-                                   size_t k, const ParallelOptions& parallel);
+                                   size_t k,
+                                   AccessGovernor* governor = nullptr);
 
 }  // namespace fuzzydb
 

@@ -8,7 +8,6 @@
 #include "middleware/filtered.h"
 #include "middleware/naive.h"
 #include "middleware/nra.h"
-#include "middleware/optimizer.h"
 #include "middleware/threshold.h"
 
 namespace fuzzydb {
@@ -106,12 +105,6 @@ Result<ExecutionResult> ExecuteTopK(QueryPtr query,
         "algorithm is correct");
   }
 
-  // Adaptive execution (DESIGN §3f): fill in the knobs the caller left at
-  // "auto" from the cost model's estimated access mix. Deriving can only
-  // pick knob values — never answers: every algorithm is bit-identical
-  // across depth/pool/period by the §3e determinism contract.
-  ParallelOptions parallel = options.parallel;
-  size_t combined_period = options.combined_period;
   // Budget / cancellation gate (DESIGN §3j): the caller's shared governor
   // wins; otherwise a private one is built from the convenience knobs.
   std::shared_ptr<AccessGovernor> governor = options.governor;
@@ -120,15 +113,9 @@ Result<ExecutionResult> ExecuteTopK(QueryPtr query,
     governor = std::make_shared<AccessGovernor>(options.sorted_access_budget,
                                                 options.deadline);
   }
-  parallel.governor = governor.get();
-  if (options.adaptive_cost_model.has_value()) {
-    const CostModel& model = *options.adaptive_cost_model;
-    if (parallel.pool != nullptr && parallel.prefetch_depth == 0) {
-      parallel.prefetch_depth =
-          DerivePrefetchDepth(algo, sources[0]->Size(), sources.size(), k,
-                              model, parallel.pool->executors());
-    }
-    if (combined_period == 0) combined_period = DefaultCombinedPeriod(model);
+  size_t combined_period = options.combined_period;
+  if (combined_period == 0 && options.adaptive_cost_model.has_value()) {
+    combined_period = DefaultCombinedPeriod(*options.adaptive_cost_model);
   }
   if (combined_period == 0) combined_period = 1;
 
@@ -140,25 +127,22 @@ Result<ExecutionResult> ExecuteTopK(QueryPtr query,
       r = NaiveTopK(sources, *rule, k);
       break;
     case Algorithm::kFagin:
-      r = FaginTopK(sources, *rule, k, parallel);
+      r = FaginTopK(sources, *rule, k, governor.get());
       break;
     case Algorithm::kThreshold:
-      r = ThresholdTopK(sources, *rule, k, parallel);
+      r = ThresholdTopK(sources, *rule, k, governor.get());
       break;
     case Algorithm::kNoRandomAccess:
-      r = NoRandomAccessTopK(sources, *rule, k, parallel);
+      r = NoRandomAccessTopK(sources, *rule, k, governor.get());
       break;
-    case Algorithm::kFilteredSimulation: {
-      FilteredOptions filtered;
-      filtered.parallel = parallel;
-      r = FilteredSimulationTopK(sources, *rule, k, filtered);
+    case Algorithm::kFilteredSimulation:
+      r = FilteredSimulationTopK(sources, *rule, k);
       break;
-    }
     case Algorithm::kDisjunctionShortcut:
-      r = DisjunctionTopK(sources, k, parallel);
+      r = DisjunctionTopK(sources, k, governor.get());
       break;
     case Algorithm::kCombined:
-      r = CombinedTopK(sources, *rule, k, combined_period, parallel);
+      r = CombinedTopK(sources, *rule, k, combined_period, governor.get());
       break;
     case Algorithm::kAuto:
       return Status::Internal("auto algorithm not resolved");

@@ -15,7 +15,6 @@
 
 #include "core/query.h"
 #include "middleware/budget.h"
-#include "middleware/parallel.h"
 #include "middleware/topk.h"
 
 namespace fuzzydb {
@@ -55,18 +54,8 @@ struct ExecutorOptions {
   /// typically the random/sorted price ratio. 0 means "derive": from
   /// `adaptive_cost_model`'s price ratio when present, else 1.
   size_t combined_period = 0;
-  /// Parallel execution layer (prefetch + batched random access), threaded
-  /// uniformly through every algorithm — A0/TA/NRA/CA, the filter
-  /// simulation, and the disjunction shortcut; the default is fully serial.
-  /// Answers and consumed access counts are identical either way (DESIGN
-  /// §3e/§3f).
-  ParallelOptions parallel;
-  /// Adaptive execution (DESIGN §3f): when set, the executor derives the
-  /// knobs the caller left at their "auto" values from this price model —
-  /// prefetch depth (when `parallel` has a pool but depth 0) follows the
-  /// plan's estimated access mix via DerivePrefetchDepth, and CA's period
-  /// (when combined_period == 0) is the price ratio. Never overrides a
-  /// depth or period the caller pinned explicitly.
+  /// When set and combined_period == 0, CA's period is this model's price
+  /// ratio (DefaultCombinedPeriod). Never overrides a pinned period.
   std::optional<CostModel> adaptive_cost_model;
   /// Budgeted / cancellable execution (DESIGN §3j). When `governor` is set
   /// it gates the run (the caller keeps a handle for Cancel); otherwise a

@@ -2,18 +2,11 @@
 
 #include <algorithm>
 
-#include "middleware/parallel.h"
-
 namespace fuzzydb {
 
 Result<TopKResult> FaginTopK(std::span<GradedSource* const> sources,
-                             const ScoringRule& rule, size_t k) {
-  return FaginTopK(sources, rule, k, ParallelOptions{});
-}
-
-Result<TopKResult> FaginTopK(std::span<GradedSource* const> sources,
                              const ScoringRule& rule, size_t k,
-                             const ParallelOptions& options) {
+                             AccessGovernor* governor) {
   FUZZYDB_RETURN_NOT_OK(ValidateTopKArgs(sources, &rule, k));
   if (!rule.monotone()) {
     return Status::FailedPrecondition(
@@ -22,7 +15,7 @@ Result<TopKResult> FaginTopK(std::span<GradedSource* const> sources,
 
   const size_t m = sources.size();
   TopKResult result;
-  ParallelSourceSet set(sources, options);
+  SourceSet set(sources, governor);
 
   // Phase 1: parallel sorted access until >= k objects seen on every list.
   std::vector<std::unordered_map<ObjectId, double>> seen(m);
@@ -55,41 +48,9 @@ Result<TopKResult> FaginTopK(std::span<GradedSource* const> sources,
     }
   }
 
-  // Phase 2: random access for every seen object's missing grades — one
-  // batched, pool-sharded resolve instead of per-object sequential probes.
-  // Per-source probe order is the seen_count iteration order either way.
-  std::vector<ObjectId> order;
-  order.reserve(seen_count.size());
-  std::vector<std::vector<double>> rows;
-  rows.resize(seen_count.size());
-  std::vector<ProbeList> probes(m);
-  for (const auto& [id, count] : seen_count) {
-    const size_t r = order.size();
-    rows[r].assign(m, 0.0);
-    for (size_t j = 0; j < m; ++j) {
-      auto it = seen[j].find(id);
-      if (it != seen[j].end()) {
-        rows[r][j] = it->second;
-      } else {
-        probes[j].probes.push_back({r, id});
-      }
-    }
-    order.push_back(id);
-  }
-  ResolveProbes(set.counted(), probes, &rows, set.pool());
-
-  // Phase 3: compute overall grades and pick the k best.
-  std::vector<GradedObject> candidates;
-  candidates.reserve(order.size());
-  for (size_t r = 0; r < order.size(); ++r) {
-    candidates.push_back({order[r], rule.Apply(rows[r])});
-  }
-
-  k = std::min(k, candidates.size());
-  std::partial_sort(candidates.begin(), candidates.begin() + static_cast<long>(k),
-                    candidates.end(), GradeDescending);
-  candidates.resize(k);
-  result.items = std::move(candidates);
+  // Phases 2 and 3: random access for every seen object's missing grades,
+  // then the k best overall grades.
+  result.items = ResolveAndRank(&set, seen, seen_count, rule, k);
   set.Finalize(&result);
   return result;
 }

@@ -16,24 +16,17 @@
 #include <unordered_set>
 #include <vector>
 
-#include "middleware/parallel.h"
 #include "middleware/topk.h"
 
 namespace fuzzydb {
 
 /// Runs A0. Requires a monotone rule (returns FailedPrecondition otherwise —
 /// the Garlic lesson from paper §4.2: the system, not the user, must
-/// guarantee monotonicity).
-Result<TopKResult> FaginTopK(std::span<GradedSource* const> sources,
-                             const ScoringRule& rule, size_t k);
-
-/// A0 with the parallel execution layer (DESIGN §3e): per-source sorted
-/// prefetch in Phase 1 plus one batched, pool-sharded random-access resolve
-/// in Phase 2. Bit-identical result and per-source consumed access counts
-/// versus the serial variant at every depth and pool size.
+/// guarantee monotonicity). `governor`, when set, gates every sorted access
+/// (middleware/budget.h).
 Result<TopKResult> FaginTopK(std::span<GradedSource* const> sources,
                              const ScoringRule& rule, size_t k,
-                             const ParallelOptions& options);
+                             AccessGovernor* governor = nullptr);
 
 /// Resumable variant: after finding the top k, "continue where we left off"
 /// to get the next batch (paper §4.1 notes A0 supports this). Each call to

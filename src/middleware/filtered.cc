@@ -23,15 +23,9 @@ Result<TopKResult> FilteredSimulationTopK(
   const size_t m = sources.size();
   const size_t n = sources[0]->Size();
   TopKResult result;
-  // Per-source tallies: a pool runs the filter retrievals concurrently, so
-  // each source needs its own counter (summed into result.cost at the end).
-  std::vector<AccessCost> per_source(m);
-  std::vector<CountingSource> counted;
-  counted.reserve(m);
-  for (size_t j = 0; j < m; ++j) {
-    counted.emplace_back(sources[j], &per_source[j]);
-  }
-  ThreadPool* pool = options.parallel.pool;
+  // Filter access is never gated: the budget governor covers sorted
+  // streams only.
+  SourceSet set(sources);
 
   double safety = options.safety;
   auto estimate_alpha = [&]() {
@@ -49,23 +43,12 @@ Result<TopKResult> FilteredSimulationTopK(
     if (alpha < options.min_alpha) alpha = 0.0;
 
     // Retrieve {grade >= alpha} from every list; each returned object costs
-    // one sorted access (charged inside CountingSource::AtLeast). The m
-    // retrievals are independent, so the pool runs them concurrently; the
-    // merge below stays serial in source order, reproducing the serial
-    // loop's appearance-map insertion sequence exactly.
-    std::vector<std::vector<GradedObject>> retrieved(m);
-    auto fetch = [&](size_t j) { retrieved[j] = counted[j].AtLeast(alpha); };
-    if (pool != nullptr && pool->executors() > 1 && m > 1) {
-      pool->ParallelFor(m, fetch);
-    } else {
-      for (size_t j = 0; j < m; ++j) fetch(j);
-    }
-
+    // one sorted access (charged inside CountingSource::AtLeast).
     std::vector<std::unordered_map<ObjectId, double>> fetched(m);
     std::unordered_map<ObjectId, size_t> appearance;
     size_t matches = 0;
     for (size_t j = 0; j < m; ++j) {
-      for (const GradedObject& g : retrieved[j]) {
+      for (const GradedObject& g : set.counted(j).AtLeast(alpha)) {
         fetched[j].emplace(g.id, g.grade);
         if (++appearance[g.id] == m) ++matches;
       }
@@ -74,42 +57,8 @@ Result<TopKResult> FilteredSimulationTopK(
     // A0 stopping condition: k objects present in every retrieved set (or
     // the cutoff already hit the bottom — everything was retrieved).
     if (matches >= std::min(k, n) || alpha == 0.0) {
-      // Resolution: batch every missing grade through ResolveProbes. Rows
-      // follow the appearance map's iteration order, so each source's probe
-      // sequence is the one the serial loop would have issued.
-      std::vector<ObjectId> order;
-      order.reserve(appearance.size());
-      std::vector<std::vector<double>> rows(appearance.size(),
-                                            std::vector<double>(m, 0.0));
-      std::vector<ProbeList> probes(m);
-      size_t row = 0;
-      for (const auto& [id, count] : appearance) {
-        order.push_back(id);
-        for (size_t j = 0; j < m; ++j) {
-          auto it = fetched[j].find(id);
-          if (it != fetched[j].end()) {
-            rows[row][j] = it->second;
-          } else {
-            probes[j].probes.push_back({row, id});
-          }
-        }
-        ++row;
-      }
-      ResolveProbes(std::span<CountingSource>(counted), probes, &rows, pool);
-
-      std::vector<GradedObject> candidates;
-      candidates.reserve(order.size());
-      for (size_t r = 0; r < order.size(); ++r) {
-        candidates.push_back({order[r], rule.Apply(rows[r])});
-      }
-      size_t kk = std::min(k, candidates.size());
-      std::partial_sort(candidates.begin(),
-                        candidates.begin() + static_cast<long>(kk),
-                        candidates.end(), GradeDescending);
-      candidates.resize(kk);
-      result.items = std::move(candidates);
-      for (const AccessCost& c : per_source) result.cost += c;
-      result.per_source = std::move(per_source);
+      result.items = ResolveAndRank(&set, fetched, appearance, rule, k);
+      set.Finalize(&result);
       if (stats != nullptr) {
         stats->rounds = rounds;
         stats->final_alpha = alpha;

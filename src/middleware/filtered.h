@@ -10,7 +10,6 @@
 #ifndef FUZZYDB_MIDDLEWARE_FILTERED_H_
 #define FUZZYDB_MIDDLEWARE_FILTERED_H_
 
-#include "middleware/parallel.h"
 #include "middleware/topk.h"
 
 namespace fuzzydb {
@@ -39,12 +38,6 @@ struct FilteredOptions {
   /// Below this, the cutoff is treated as 0 (full retrieval) so the
   /// simulation always terminates.
   double min_alpha = 1e-6;
-  /// Parallel execution (DESIGN §3f): a round's m filter retrievals run
-  /// concurrently on the pool (they are independent per source), and the
-  /// final missing-grade resolution batches through ResolveProbes. The
-  /// merge stays serial in source order, so answers and per-source consumed
-  /// counts are identical to the serial simulation.
-  ParallelOptions parallel;
 };
 
 /// Per-run diagnostics for the simulation.

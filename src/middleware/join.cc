@@ -7,8 +7,7 @@ namespace fuzzydb {
 Result<TopKJoinSource> TopKJoinSource::Create(GradedSource* left,
                                               GradedSource* right,
                                               ScoringRulePtr rule,
-                                              std::string label,
-                                              const ParallelOptions& parallel) {
+                                              std::string label) {
   if (left == nullptr || right == nullptr) {
     return Status::InvalidArgument("null join input");
   }
@@ -24,15 +23,6 @@ Result<TopKJoinSource> TopKJoinSource::Create(GradedSource* left,
   TopKJoinSource join;
   join.left_ = left;
   join.right_ = right;
-  if (parallel.prefetch_depth > 0) {
-    TaskExecutor* executor = parallel.EffectiveExecutor();
-    join.left_prefetch_ = std::make_unique<PrefetchSource>(
-        left, parallel.prefetch_depth, executor);
-    join.right_prefetch_ = std::make_unique<PrefetchSource>(
-        right, parallel.prefetch_depth, executor);
-    join.left_ = join.left_prefetch_.get();
-    join.right_ = join.right_prefetch_.get();
-  }
   join.rule_ = std::move(rule);
   join.label_ = std::move(label);
   join.RestartSorted();
@@ -58,12 +48,8 @@ double TopKJoinSource::Threshold() const {
 
 bool TopKJoinSource::PullRound() {
   if (left_done_ && right_done_) return false;
-  // Pull both heads, then resolve the round's cross-probes on the calling
-  // thread. Not on the pool: in a composed pipeline this round may already
-  // be running inside a prefetch fill task, and a blocking ParallelFor from
-  // there inverts lock order against a probe that needs the fill task's
-  // prefetch mutex — see the class comment. Candidates are pushed
-  // left-then-right — the serial discovery order.
+  // Pull both heads, then resolve the round's cross-probes. Candidates are
+  // pushed left-then-right, in discovery order.
   std::optional<GradedObject> l;
   std::optional<GradedObject> r;
   if (!left_done_) {
@@ -82,20 +68,16 @@ bool TopKJoinSource::PullRound() {
       right_done_ = true;
     }
   }
-  // Dedup in serial discovery order (left head first): if both heads name
-  // the same object, only the left probe survives.
+  // Dedup in discovery order (left head first): if both heads name the
+  // same object, only the left probe survives.
   const bool probe_left = l.has_value() && seen_.insert(l->id).second;
   const bool probe_right = r.has_value() && seen_.insert(r->id).second;
-  double other_for_left = 0.0;   // right's grade for the left head
-  double other_for_right = 0.0;  // left's grade for the right head
-  if (probe_left) other_for_left = right_->RandomAccess(l->id);
-  if (probe_right) other_for_right = left_->RandomAccess(r->id);
   if (probe_left) {
-    std::array<double, 2> scores{l->grade, other_for_left};
+    std::array<double, 2> scores{l->grade, right_->RandomAccess(l->id)};
     candidates_.push({l->id, rule_->Apply(scores)});
   }
   if (probe_right) {
-    std::array<double, 2> scores{other_for_right, r->grade};
+    std::array<double, 2> scores{left_->RandomAccess(r->id), r->grade};
     candidates_.push({r->id, rule_->Apply(scores)});
   }
   return true;

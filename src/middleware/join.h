@@ -14,41 +14,24 @@
 #ifndef FUZZYDB_MIDDLEWARE_JOIN_H_
 #define FUZZYDB_MIDDLEWARE_JOIN_H_
 
-#include <memory>
 #include <queue>
 #include <unordered_set>
 #include <vector>
 
 #include "core/scoring.h"
-#include "middleware/parallel.h"
 #include "middleware/source.h"
 
 namespace fuzzydb {
 
 /// Lazy binary top-k join of two graded sources.
-///
-/// Parallel execution (DESIGN §3f): with non-serial ParallelOptions each
-/// input's sorted stream runs behind a PrefetchSource pipeline. The emitted
-/// stream, each input's random-access sequence, and the consumed sorted
-/// prefix are identical to serial execution; only the prefetch overhang
-/// (≤ depth extra sorted accesses per input) is schedule-dependent. Because
-/// the join is itself a GradedSource, a composed pipeline join(join(A,B),C)
-/// prefetches at every level. A round's two cross-probes resolve on the
-/// calling thread: a blocking pool job here could be reached from inside a
-/// fill task (which holds a downstream prefetch mutex while another probe
-/// waits on it) — a lock-order inversion against ParallelFor's job slot.
 class TopKJoinSource final : public GradedSource {
  public:
   /// `left` and `right` must grade the same object universe and outlive the
-  /// join; `rule` must be monotone (2-ary application). `parallel` attaches
-  /// the prefetch pipeline + probe pool described above; sources must then
-  /// tolerate concurrent access *across* inputs (each input is still only
-  /// touched by one thread at a time).
+  /// join; `rule` must be monotone (2-ary application).
   static Result<TopKJoinSource> Create(GradedSource* left,
                                        GradedSource* right,
                                        ScoringRulePtr rule = MinRule(),
-                                       std::string label = "join",
-                                       const ParallelOptions& parallel = {});
+                                       std::string label = "join");
 
   size_t Size() const override { return left_->Size(); }
 
@@ -79,13 +62,8 @@ class TopKJoinSource final : public GradedSource {
   // Current certification threshold.
   double Threshold() const;
 
-  // Active inputs: the raw sources, or their prefetch pipelines when
-  // parallel execution is on. Heap-allocated wrappers keep these pointers
-  // stable across moves of the join object.
   GradedSource* left_ = nullptr;
   GradedSource* right_ = nullptr;
-  std::unique_ptr<PrefetchSource> left_prefetch_;
-  std::unique_ptr<PrefetchSource> right_prefetch_;
   ScoringRulePtr rule_;
   std::string label_;
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/contract.h"
-#include "middleware/parallel.h"
 
 namespace fuzzydb {
 
@@ -20,13 +19,8 @@ struct Partial {
 }  // namespace
 
 Result<TopKResult> NoRandomAccessTopK(std::span<GradedSource* const> sources,
-                                      const ScoringRule& rule, size_t k) {
-  return NoRandomAccessTopK(sources, rule, k, ParallelOptions{});
-}
-
-Result<TopKResult> NoRandomAccessTopK(std::span<GradedSource* const> sources,
                                       const ScoringRule& rule, size_t k,
-                                      const ParallelOptions& options) {
+                                      AccessGovernor* governor) {
   FUZZYDB_RETURN_NOT_OK(ValidateTopKArgs(sources, &rule, k));
   if (!rule.monotone()) {
     return Status::FailedPrecondition(
@@ -35,10 +29,7 @@ Result<TopKResult> NoRandomAccessTopK(std::span<GradedSource* const> sources,
 
   const size_t m = sources.size();
   TopKResult result;
-  // NRA never does random access, so the parallel layer contributes only
-  // per-source prefetch: the bound bookkeeping below consumes one item per
-  // list per round regardless of how far the fill tasks ran ahead.
-  ParallelSourceSet set(sources, options);
+  SourceSet set(sources, governor);
 
   std::unordered_map<ObjectId, Partial> seen;
   std::vector<double> last_seen(m, 1.0);

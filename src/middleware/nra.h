@@ -11,7 +11,6 @@
 #ifndef FUZZYDB_MIDDLEWARE_NRA_H_
 #define FUZZYDB_MIDDLEWARE_NRA_H_
 
-#include "middleware/parallel.h"
 #include "middleware/topk.h"
 
 namespace fuzzydb {
@@ -19,17 +18,11 @@ namespace fuzzydb {
 /// Runs NRA. Requires a monotone rule. The returned items are a correct
 /// top-k *set*; `grades_exact` is false when some winner still has unknown
 /// per-list grades, in which case its reported grade is the certified lower
-/// bound.
-Result<TopKResult> NoRandomAccessTopK(std::span<GradedSource* const> sources,
-                                      const ScoringRule& rule, size_t k);
-
-/// NRA with the parallel execution layer (DESIGN §3e): per-source sorted
-/// prefetch (NRA has no random accesses to batch). Bit-identical result and
-/// per-source consumed access counts versus the serial variant at every
-/// depth and pool size.
+/// bound. `governor`, when set, gates every sorted access
+/// (middleware/budget.h).
 Result<TopKResult> NoRandomAccessTopK(std::span<GradedSource* const> sources,
                                       const ScoringRule& rule, size_t k,
-                                      const ParallelOptions& options);
+                                      AccessGovernor* governor = nullptr);
 
 }  // namespace fuzzydb
 

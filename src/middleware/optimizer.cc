@@ -76,27 +76,6 @@ Result<double> EstimateCost(Algorithm algorithm, size_t n, size_t m, size_t k,
   return mix->sorted * model.sorted_unit + mix->random * model.random_unit;
 }
 
-size_t DerivePrefetchDepth(Algorithm algorithm, size_t n, size_t m, size_t k,
-                           const CostModel& model, size_t executors) {
-  if (executors <= 1) return 0;  // nothing to overlap with
-  Result<AccessMix> mix = EstimateAccessMix(algorithm, n, m, k, model);
-  if (!mix.ok()) return 0;
-  const double sorted_cost = mix->sorted * model.sorted_unit;
-  const double total = sorted_cost + mix->random * model.random_unit;
-  if (total <= 0.0) return 0;
-  const double sorted_share = sorted_cost / total;
-  // Random-dominated plans gain little from running ahead on the sorted
-  // streams; keep the pipeline (depth 1) but skip deep speculation.
-  if (sorted_share < 0.5) return 1;
-  // Sorted-dominated: enough ring-buffer depth to keep every executor busy,
-  // scaled by how much of the cost the prefetcher can actually overlap.
-  const double target =
-      4.0 * static_cast<double>(executors) * sorted_share;
-  size_t depth = 2;
-  while (depth < 64 && static_cast<double>(depth) < target) depth *= 2;
-  return depth;
-}
-
 Result<PlanChoice> ChoosePlan(const Query& query, size_t n, size_t k,
                               const CostModel& model) {
   if (n == 0 || k == 0) {
@@ -171,8 +150,7 @@ Result<PlanChoice> ChoosePlan(const Query& query, size_t n, size_t k,
 Result<ExecutionResult> ExecuteOptimized(QueryPtr query,
                                          const SourceResolver& resolver,
                                          size_t k, const CostModel& model,
-                                         PlanChoice* choice,
-                                         const ParallelOptions& parallel) {
+                                         PlanChoice* choice) {
   if (query == nullptr) return Status::InvalidArgument("null query");
 
   // Need N: resolve the first atom and ask its source.
@@ -191,10 +169,6 @@ Result<ExecutionResult> ExecuteOptimized(QueryPtr query,
   ExecutorOptions options;
   options.algorithm = plan->algorithm;
   options.combined_period = plan->combined_period;
-  options.parallel = parallel;
-  // The adaptive layer (DESIGN §3f): hand the executor the price model it
-  // planned under, so prefetch depth can follow the estimated access mix.
-  options.adaptive_cost_model = model;
   return ExecuteTopK(std::move(query), resolver, k, options);
 }
 

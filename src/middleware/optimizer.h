@@ -23,8 +23,7 @@
 namespace fuzzydb {
 
 // CostModel lives in middleware/cost.h (next to AccessCost) so the executor
-// and the parallel layer can consume prices without depending on the
-// planner.
+// can consume prices without depending on the planner.
 
 /// What the optimizer decided and why.
 struct PlanChoice {
@@ -46,8 +45,8 @@ struct PlanChoice {
 };
 
 /// Expected *counts* of each access mode — the estimate behind EstimateCost,
-/// exposed separately so the adaptive layer can ask "do sorted accesses
-/// dominate?" without re-deriving the formulas.
+/// exposed separately so the index-driver variant can reprice one list's
+/// sorted accesses without re-deriving the formulas.
 struct AccessMix {
   double sorted = 0.0;
   double random = 0.0;
@@ -74,15 +73,6 @@ inline std::string ConsideredBaseName(const std::string& label) {
   return label.substr(0, label.find('('));
 }
 
-/// Prefetch depth for the parallel layer, derived from the cost estimate
-/// (DESIGN §3f): 0 (no prefetch) when the pool has a single executor or the
-/// estimate is unavailable; 1 (pipeline only, no speculation depth) when
-/// random accesses dominate the charged cost; otherwise a power of two
-/// scaled to executors × sorted-cost share, clamped to [2, 64]. Deep
-/// speculation only pays when sorted access is the dominant cost.
-size_t DerivePrefetchDepth(Algorithm algorithm, size_t n, size_t m, size_t k,
-                           const CostModel& model, size_t executors);
-
 /// Picks the cheapest estimated plan that is *correct* for `query`:
 /// non-monotone queries only consider naive; flat max-disjunctions also
 /// consider the m*k shortcut; monotone queries consider naive, A0, TA and
@@ -90,16 +80,12 @@ size_t DerivePrefetchDepth(Algorithm algorithm, size_t n, size_t m, size_t k,
 Result<PlanChoice> ChoosePlan(const Query& query, size_t n, size_t k,
                               const CostModel& model);
 
-/// Convenience: ChoosePlan then ExecuteTopK with the chosen algorithm.
-/// `parallel` (pool/executor) is threaded through to the executor; its
-/// prefetch depth, when left at 0 with a pool attached, is derived from the
-/// plan's cost estimate (adaptive execution, DESIGN §3f). CA's period comes
-/// from the plan.
+/// Convenience: ChoosePlan then ExecuteTopK with the chosen algorithm and
+/// the plan's CA period.
 Result<ExecutionResult> ExecuteOptimized(QueryPtr query,
                                          const SourceResolver& resolver,
                                          size_t k, const CostModel& model,
-                                         PlanChoice* choice = nullptr,
-                                         const ParallelOptions& parallel = {});
+                                         PlanChoice* choice = nullptr);
 
 }  // namespace fuzzydb
 

@@ -22,8 +22,7 @@ bool CheckZeroAnnihilation(const ScoringRule& rule, size_t m, size_t samples,
 
 Result<TopKResult> SelectiveProbeTopK(GradedSource* selective,
                                       std::span<GradedSource* const> others,
-                                      const ScoringRule& rule, size_t k,
-                                      const ParallelOptions& parallel) {
+                                      const ScoringRule& rule, size_t k) {
   if (selective == nullptr) {
     return Status::InvalidArgument("null selective source");
   }
@@ -44,30 +43,12 @@ Result<TopKResult> SelectiveProbeTopK(GradedSource* selective,
 
   const size_t m = all.size();
   TopKResult result;
-  // Per-source tallies (summed at the end): phase 2's probes may resolve on
-  // pool threads, one source per thread.
-  std::vector<AccessCost> per_source(m);
-  // Phase 1 only streams the selective list, so it is the only input worth
-  // a prefetch pipeline; the others are pure random-access targets.
-  std::unique_ptr<PrefetchSource> prefetch;
-  GradedSource* sel_input = selective;
-  if (parallel.prefetch_depth > 0) {
-    prefetch = std::make_unique<PrefetchSource>(
-        selective, parallel.prefetch_depth, parallel.EffectiveExecutor());
-    sel_input = prefetch.get();
-  }
-  CountingSource counted_sel(sel_input, &per_source[0]);
-  std::vector<CountingSource> counted_others;
-  counted_others.reserve(others.size());
-  for (size_t j = 0; j < others.size(); ++j) {
-    counted_others.emplace_back(others[j], &per_source[j + 1]);
-  }
+  SourceSet set(all);
 
   // Phase 1: stream the selective list's support S (grades > 0).
-  counted_sel.RestartSorted();
   std::vector<GradedObject> matches;
   std::vector<GradedObject> zero_fill;  // ids for padding when |S| < k
-  while (std::optional<GradedObject> next = counted_sel.NextSorted()) {
+  while (std::optional<GradedObject> next = set.counted(0).NextSorted()) {
     if (next->grade > 0.0) {
       matches.push_back(*next);
     } else {
@@ -80,28 +61,20 @@ Result<TopKResult> SelectiveProbeTopK(GradedSource* selective,
     }
   }
 
-  // Phase 2: random-probe the other conjuncts for every member of S, as one
-  // ResolveProbes batch — each conjunct's probes stay in match order (the
-  // serial sequence), sharded by source across the pool.
-  std::vector<ProbeList> probes(counted_others.size());
-  for (ProbeList& p : probes) p.probes.reserve(matches.size());
-  std::vector<std::vector<double>> rows(
-      matches.size(), std::vector<double>(counted_others.size(), 0.0));
-  for (size_t i = 0; i < matches.size(); ++i) {
-    for (size_t j = 0; j < counted_others.size(); ++j) {
-      probes[j].probes.push_back({i, matches[i].id});
+  // Phase 2: random-probe the other conjuncts for every member of S, source
+  // by source, each in match order.
+  std::vector<std::vector<double>> rows(matches.size(),
+                                        std::vector<double>(m, 0.0));
+  for (size_t i = 0; i < matches.size(); ++i) rows[i][0] = matches[i].grade;
+  for (size_t j = 1; j < m; ++j) {
+    for (size_t i = 0; i < matches.size(); ++i) {
+      rows[i][j] = set.counted(j).RandomAccess(matches[i].id);
     }
   }
-  ResolveProbes(std::span<CountingSource>(counted_others), probes, &rows,
-                parallel.pool);
-
-  std::vector<double> scores(m);
   std::vector<GradedObject> candidates;
   candidates.reserve(matches.size());
   for (size_t i = 0; i < matches.size(); ++i) {
-    scores[0] = matches[i].grade;
-    for (size_t j = 0; j + 1 < m; ++j) scores[j + 1] = rows[i][j];
-    candidates.push_back({matches[i].id, rule.Apply(scores)});
+    candidates.push_back({matches[i].id, rule.Apply(rows[i])});
   }
 
   // Phase 3: top-k over S, padded with grade-0 non-matches if needed.
@@ -112,11 +85,7 @@ Result<TopKResult> SelectiveProbeTopK(GradedSource* selective,
     candidates.push_back(filler);
   }
   result.items = std::move(candidates);
-  if (prefetch != nullptr) {
-    per_source[0].prefetched += prefetch->Quiesce().wasted();
-  }
-  for (const AccessCost& c : per_source) result.cost += c;
-  result.per_source = std::move(per_source);
+  set.Finalize(&result);
   return result;
 }
 

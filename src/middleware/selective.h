@@ -14,7 +14,6 @@
 #ifndef FUZZYDB_MIDDLEWARE_SELECTIVE_H_
 #define FUZZYDB_MIDDLEWARE_SELECTIVE_H_
 
-#include "middleware/parallel.h"
 #include "middleware/topk.h"
 
 namespace fuzzydb {
@@ -30,15 +29,9 @@ bool CheckZeroAnnihilation(const ScoringRule& rule, size_t m, size_t samples,
 /// are applied in the order [selective, others...]. Rejects rules that fail
 /// the zero-annihilation spot check (e.g. avg — the paper's strategy is
 /// specific to conjunctions that conserve falsity).
-///
-/// With non-serial `parallel` options (DESIGN §3f) the selective stream is
-/// prefetched and phase 2's |S|·(m-1) probes batch through ResolveProbes,
-/// sharded by source in match order — per-source access sequences, and thus
-/// answers and consumed counts, are identical to the serial plan.
 Result<TopKResult> SelectiveProbeTopK(GradedSource* selective,
                                       std::span<GradedSource* const> others,
-                                      const ScoringRule& rule, size_t k,
-                                      const ParallelOptions& parallel = {});
+                                      const ScoringRule& rule, size_t k);
 
 }  // namespace fuzzydb
 

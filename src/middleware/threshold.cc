@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/contract.h"
-#include "middleware/parallel.h"
 
 namespace fuzzydb {
 
@@ -22,13 +21,8 @@ struct WorstFirst {
 }  // namespace
 
 Result<TopKResult> ThresholdTopK(std::span<GradedSource* const> sources,
-                                 const ScoringRule& rule, size_t k) {
-  return ThresholdTopK(sources, rule, k, ParallelOptions{});
-}
-
-Result<TopKResult> ThresholdTopK(std::span<GradedSource* const> sources,
                                  const ScoringRule& rule, size_t k,
-                                 const ParallelOptions& options) {
+                                 AccessGovernor* governor) {
   FUZZYDB_RETURN_NOT_OK(ValidateTopKArgs(sources, &rule, k));
   if (!rule.monotone()) {
     return Status::FailedPrecondition(
@@ -37,7 +31,7 @@ Result<TopKResult> ThresholdTopK(std::span<GradedSource* const> sources,
 
   const size_t m = sources.size();
   TopKResult result;
-  ParallelSourceSet set(sources, options);
+  SourceSet set(sources, governor);
 
   std::priority_queue<GradedObject, std::vector<GradedObject>, WorstFirst>
       best;  // holds at most k items; top() is the current k-th best
@@ -55,13 +49,10 @@ Result<TopKResult> ThresholdTopK(std::span<GradedSource* const> sources,
   };
   std::vector<Fresh> fresh;
   std::vector<std::vector<double>> rows;  // rows[r][l]: grade of fresh[r]
-  std::vector<ProbeList> probes(m);
 
   while (exhausted < m) {
-    // 1) One sorted access per live list — the same round-depth access
-    //    prefix as the serial loop, whatever the prefetchers ran ahead.
+    // 1) One sorted access per live list.
     fresh.clear();
-    for (ProbeList& p : probes) p.probes.clear();
     for (size_t j = 0; j < m; ++j) {
       if (done[j]) continue;
       std::optional<GradedObject> next = set.counted(j).NextSorted();
@@ -80,20 +71,21 @@ Result<TopKResult> ThresholdTopK(std::span<GradedSource* const> sources,
         fresh.push_back({next->id, j, next->grade});
       }
     }
-    // 2) The round's missing-grade probes, batched and sharded by source
-    //    instead of issued as m-1 sequential calls per fresh object. Each
-    //    source's probes stay in discovery order, so per-source access
-    //    sequences match the serial loop exactly.
+    // 2) The round's missing-grade probes, source by source; each source's
+    //    probes follow discovery order.
     if (rows.size() < fresh.size()) rows.resize(fresh.size());
     for (size_t r = 0; r < fresh.size(); ++r) {
       rows[r].assign(m, 0.0);
       rows[r][fresh[r].list] = fresh[r].grade;
-      for (size_t l = 0; l < m; ++l) {
-        if (l != fresh[r].list) probes[l].probes.push_back({r, fresh[r].id});
+    }
+    for (size_t l = 0; l < m; ++l) {
+      for (size_t r = 0; r < fresh.size(); ++r) {
+        if (l != fresh[r].list) {
+          rows[r][l] = set.counted(l).RandomAccess(fresh[r].id);
+        }
       }
     }
-    ResolveProbes(set.counted(), probes, &rows, set.pool());
-    // 3) Heap updates in discovery order (the serial processing order).
+    // 3) Heap updates in discovery order.
     for (size_t r = 0; r < fresh.size(); ++r) {
       GradedObject overall{fresh[r].id, rule.Apply(rows[r])};
       if (best.size() < k) {

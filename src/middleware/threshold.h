@@ -12,22 +12,15 @@
 #ifndef FUZZYDB_MIDDLEWARE_THRESHOLD_H_
 #define FUZZYDB_MIDDLEWARE_THRESHOLD_H_
 
-#include "middleware/parallel.h"
 #include "middleware/topk.h"
 
 namespace fuzzydb {
 
-/// Runs TA. Requires a monotone rule.
-Result<TopKResult> ThresholdTopK(std::span<GradedSource* const> sources,
-                                 const ScoringRule& rule, size_t k);
-
-/// TA with the parallel execution layer (DESIGN §3e): per-source sorted
-/// prefetch plus round-batched, pool-sharded random access. Bit-identical
-/// result and per-source consumed access counts versus the serial variant
-/// at every depth and pool size.
+/// Runs TA. Requires a monotone rule. `governor`, when set, gates every
+/// sorted access (middleware/budget.h).
 Result<TopKResult> ThresholdTopK(std::span<GradedSource* const> sources,
                                  const ScoringRule& rule, size_t k,
-                                 const ParallelOptions& options);
+                                 AccessGovernor* governor = nullptr);
 
 }  // namespace fuzzydb
 

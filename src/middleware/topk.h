@@ -4,6 +4,7 @@
 #define FUZZYDB_MIDDLEWARE_TOPK_H_
 
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -24,9 +25,8 @@ struct TopKResult {
   AccessCost cost;
 
   /// Per-subsystem breakdown of `cost`, indexed like the sources span.
-  /// Populated by A0/TA/NRA (the algorithms with parallel variants, so the
-  /// determinism harness can assert source-by-source equality); other
-  /// algorithms may leave it empty.
+  /// Populated by A0/TA/NRA/CA, the disjunction shortcut, and the filter and
+  /// selective plans; the naive scan leaves it empty.
   std::vector<AccessCost> per_source;
 
   /// True when `items[i].grade` is the exact overall grade. NRA (which never
@@ -40,6 +40,16 @@ struct TopKResult {
 /// fuzzy convention every RandomAccess implementation already follows).
 Status ValidateTopKArgs(std::span<GradedSource* const> sources,
                         const ScoringRule* rule, size_t k);
+
+/// A0's resolution and ranking phases (paper §4.1), shared with the filter
+/// simulation: every object of `seen` (in its iteration order) gets the
+/// grades missing from `known[j]` by random access on set->counted(j),
+/// source by source; returns the k best overall grades, grade-descending.
+std::vector<GradedObject> ResolveAndRank(
+    SourceSet* set,
+    std::span<const std::unordered_map<ObjectId, double>> known,
+    const std::unordered_map<ObjectId, size_t>& seen, const ScoringRule& rule,
+    size_t k);
 
 }  // namespace fuzzydb
 

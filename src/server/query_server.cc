@@ -160,8 +160,8 @@ void QueryServer::RunQuery(QueryPtr query, SourceResolver resolver, size_t k,
   opts.algorithm = plan.algorithm;
   opts.combined_period = plan.combined_period;
   opts.governor = governor;
-  // Deliberately serial ParallelOptions: concurrency lives between queries.
-  // Each answer is bit-identical to a serial ExecuteTopK of the same plan.
+  // Concurrency lives between queries: each answer is bit-identical to an
+  // ExecuteTopK of the same plan on the calling thread.
   Result<ExecutionResult> run = ExecuteTopK(std::move(query), resolver, k, opts);
 
   ServedResult out;

@@ -15,11 +15,10 @@
 //     sorted accesses), so a query that blows past its own plan's
 //     prediction is truncated, completing with the documented
 //     partial-result Status instead of starving its neighbors.
-//   - Determinism: every admitted query executes with the *serial*
-//     ParallelOptions — concurrency lives between queries, not inside one —
-//     so each answer is bit-identical to a serial ExecuteTopK of the same
-//     plan at every pool size, budget truncation included (the governor
-//     charges consumed accesses only; middleware/budget.h).
+//   - Determinism: concurrency lives between queries, not inside one — each
+//     admitted query runs the serial executor on one pool thread — so each
+//     answer is bit-identical to ExecuteTopK of the same plan at every pool
+//     size, budget truncation included (middleware/budget.h).
 //   - On a workerless pool (ThreadPool(1), or no pool at all) Submit runs
 //     the query inline on the calling thread: TryPost always refuses there,
 //     and rejecting everything would make a 1-core host serve nothing. The

@@ -12,11 +12,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "middleware/combined.h"
-#include "middleware/join.h"
 #include "middleware/optimizer.h"
-#include "middleware/parallel.h"
-#include "middleware/threshold.h"
 #include "relational/btree.h"
 #include "server/query_server.h"
 #include "sim/experiment.h"
@@ -160,13 +156,12 @@ TEST(BTreeFuzzTest, AdversarialInsertionOrders) {
   }
 }
 
-// A hostile single-threaded TaskExecutor for the prefetch layer: accepted
+// A hostile single-threaded TaskExecutor for the query server: accepted
 // tasks land in a pending list and run in seeded-random order at
 // seeded-random moments — some immediately, some long after the work that
 // scheduled them finished, the rest at destruction. Per the TaskExecutor
 // contract every task runs exactly once; everything else (order, delay) is
-// adversarial. PrefetchSource must deliver the exact sorted stream anyway,
-// because its progress never depends on the executor running anything.
+// adversarial.
 class ShuffledExecutor final : public TaskExecutor {
  public:
   explicit ShuffledExecutor(uint64_t seed) : rng_(seed) {}
@@ -197,172 +192,6 @@ class ShuffledExecutor final : public TaskExecutor {
   Rng rng_;
   std::vector<std::function<void()>> pending_;
 };
-
-TEST(ParallelFuzzTest, PrefetchStreamSurvivesHostileSchedules) {
-  // Under every shuffled schedule, the stream a consumer pops from
-  // PrefetchSource — threaded through CountingSource so the sorted-order
-  // contract check is armed in checks builds — must equal the inner list.
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    Rng rng(4200 + seed);
-    size_t n = 1 + rng.NextBounded(120);
-    Workload w = IndependentUniform(&rng, n, 1);
-    Result<std::vector<VectorSource>> sources = w.MakeSources();
-    ASSERT_TRUE(sources.ok());
-    VectorSource& inner = (*sources)[0];
-
-    ShuffledExecutor executor(9000 + seed);
-    size_t depth = 1 + rng.NextBounded(16);
-    PrefetchSource pf(&inner, depth, &executor);
-    AccessCost cost;
-    CountingSource counted(&pf, &cost);
-    counted.RestartSorted();
-
-    std::vector<GradedObject> streamed;
-    while (std::optional<GradedObject> next = counted.NextSorted()) {
-      streamed.push_back(*next);
-      // Occasionally rewind mid-stream; the replayed stream must restart
-      // from the top.
-      if (rng.NextDouble() < 0.02) {
-        counted.RestartSorted();
-        streamed.clear();
-      }
-    }
-    EXPECT_EQ(streamed, inner.sorted_items())
-        << "seed " << seed << " depth " << depth;
-    EXPECT_GE(cost.sorted, inner.sorted_items().size()) << "seed " << seed;
-  }
-}
-
-TEST(ParallelFuzzTest, ParallelTaMatchesSerialUnderHostileSchedules) {
-  // Full-algorithm determinism under the hostile scheduler: TA with a
-  // shuffled-executor prefetch pipeline returns the serial answer and the
-  // serial per-source consumed counts, every seed.
-  for (uint64_t seed = 0; seed < 25; ++seed) {
-    Rng rng(5200 + seed);
-    size_t n = 50 + rng.NextBounded(200);
-    size_t m = 2 + rng.NextBounded(3);
-    Workload w = (seed % 2 == 0) ? IndependentUniform(&rng, n, m)
-                                 : QuantizedUniform(&rng, n, m, 3);
-    Result<std::vector<VectorSource>> sources = w.MakeSources();
-    ASSERT_TRUE(sources.ok());
-    std::vector<GradedSource*> ptrs = SourcePtrs(*sources);
-    size_t k = 1 + rng.NextBounded(8);
-
-    Result<TopKResult> serial = ThresholdTopK(ptrs, *MinRule(), k);
-    ASSERT_TRUE(serial.ok());
-
-    ShuffledExecutor executor(7700 + seed);
-    ParallelOptions options;
-    options.prefetch_depth = 1 + rng.NextBounded(16);
-    options.executor = &executor;
-    Result<TopKResult> parallel = ThresholdTopK(ptrs, *MinRule(), k, options);
-    ASSERT_TRUE(parallel.ok());
-
-    ASSERT_EQ(serial->items.size(), parallel->items.size()) << seed;
-    for (size_t r = 0; r < serial->items.size(); ++r) {
-      EXPECT_EQ(serial->items[r].id, parallel->items[r].id) << seed;
-      EXPECT_EQ(serial->items[r].grade, parallel->items[r].grade) << seed;
-    }
-    ASSERT_EQ(serial->per_source.size(), parallel->per_source.size());
-    for (size_t j = 0; j < serial->per_source.size(); ++j) {
-      EXPECT_EQ(serial->per_source[j].sorted, parallel->per_source[j].sorted)
-          << "seed " << seed << " source " << j;
-      EXPECT_EQ(serial->per_source[j].random, parallel->per_source[j].random)
-          << "seed " << seed << " source " << j;
-    }
-  }
-}
-
-TEST(ParallelFuzzTest, ParallelCaMatchesSerialUnderHostileSchedules) {
-  // CA's mixed shape — NRA-style rounds plus a batched random-access
-  // resolution every h rounds — under the hostile scheduler: items, grades,
-  // and per-source consumed counts must match serial for every seed, h,
-  // and depth, including truncated/empty sources.
-  for (uint64_t seed = 0; seed < 25; ++seed) {
-    Rng rng(6200 + seed);
-    size_t n = 50 + rng.NextBounded(200);
-    size_t m = 2 + rng.NextBounded(3);
-    Workload w = (seed % 2 == 0) ? IndependentUniform(&rng, n, m)
-                                 : QuantizedUniform(&rng, n, m, 3);
-    Result<std::vector<VectorSource>> sources = w.MakeSources();
-    if (seed % 5 == 4) {
-      // Unequal/empty lists: one full, one short, the rest empty.
-      std::vector<size_t> lengths(m, 0);
-      lengths[0] = n;
-      if (m > 1) lengths[1] = 1 + rng.NextBounded(n);
-      sources = MakeTruncatedSources(w, lengths);
-    }
-    ASSERT_TRUE(sources.ok());
-    std::vector<GradedSource*> ptrs = SourcePtrs(*sources);
-    size_t k = 1 + rng.NextBounded(8);
-    size_t h = 1 + rng.NextBounded(6);
-
-    Result<TopKResult> serial = CombinedTopK(ptrs, *MinRule(), k, h);
-    ASSERT_TRUE(serial.ok());
-
-    ShuffledExecutor executor(8800 + seed);
-    ParallelOptions options;
-    options.prefetch_depth = 1 + rng.NextBounded(16);
-    options.executor = &executor;
-    Result<TopKResult> parallel =
-        CombinedTopK(ptrs, *MinRule(), k, h, options);
-    ASSERT_TRUE(parallel.ok());
-
-    ASSERT_EQ(serial->items.size(), parallel->items.size()) << seed;
-    for (size_t r = 0; r < serial->items.size(); ++r) {
-      EXPECT_EQ(serial->items[r].id, parallel->items[r].id) << seed;
-      EXPECT_EQ(serial->items[r].grade, parallel->items[r].grade) << seed;
-    }
-    ASSERT_EQ(serial->per_source.size(), parallel->per_source.size());
-    for (size_t j = 0; j < serial->per_source.size(); ++j) {
-      EXPECT_EQ(serial->per_source[j].sorted, parallel->per_source[j].sorted)
-          << "seed " << seed << " h " << h << " source " << j;
-      EXPECT_EQ(serial->per_source[j].random, parallel->per_source[j].random)
-          << "seed " << seed << " h " << h << " source " << j;
-    }
-  }
-}
-
-TEST(ParallelFuzzTest, ParallelJoinMatchesSerialUnderHostileSchedules) {
-  // The join pipeline under the hostile scheduler: the emitted stream of
-  // join(A, B) with shuffled-executor prefetch must be bit-identical to the
-  // serial stream for every seed and depth.
-  for (uint64_t seed = 0; seed < 25; ++seed) {
-    Rng rng(7300 + seed);
-    size_t n = 30 + rng.NextBounded(150);
-    Workload w = (seed % 2 == 0) ? IndependentUniform(&rng, n, 2)
-                                 : QuantizedUniform(&rng, n, 2, 3);
-    Result<std::vector<VectorSource>> sources = w.MakeSources();
-    ASSERT_TRUE(sources.ok());
-    size_t emit = 1 + rng.NextBounded(20);
-
-    auto drain = [&](const ParallelOptions& options) {
-      Result<TopKJoinSource> join = TopKJoinSource::Create(
-          &(*sources)[0], &(*sources)[1], MinRule(), "fuzz-join", options);
-      EXPECT_TRUE(join.ok());
-      std::vector<GradedObject> out;
-      while (out.size() < emit) {
-        std::optional<GradedObject> next = join->NextSorted();
-        if (!next.has_value()) break;
-        out.push_back(*next);
-      }
-      return out;
-    };
-
-    std::vector<GradedObject> serial = drain(ParallelOptions{});
-    ShuffledExecutor executor(9900 + seed);
-    ParallelOptions options;
-    options.prefetch_depth = 1 + rng.NextBounded(16);
-    options.executor = &executor;
-    std::vector<GradedObject> parallel = drain(options);
-
-    ASSERT_EQ(serial.size(), parallel.size()) << seed;
-    for (size_t r = 0; r < serial.size(); ++r) {
-      EXPECT_EQ(serial[r].id, parallel[r].id) << "seed " << seed;
-      EXPECT_EQ(serial[r].grade, parallel[r].grade) << "seed " << seed;
-    }
-  }
-}
 
 // --- Server fuzzing ---------------------------------------------------------
 

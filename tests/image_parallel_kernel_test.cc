@@ -239,7 +239,7 @@ TEST_F(ParallelKernelTest, TunerSweepsShardCountsWhenGivenAPool) {
 TEST_F(ParallelKernelTest, TunerPrefersOneShardWithoutRealParallelism) {
   // No pool: extra shards are charged full serial cost plus overhead, so
   // they can only lose and the deterministic tie-break keeps shards=1. This
-  // is the 1-executor-host guarantee from DESIGN §3f.
+  // is the 1-executor-host guarantee from DESIGN §3c.
   std::vector<std::vector<double>> calibration(targets_.begin(),
                                                targets_.begin() + 2);
   CascadeTunerOptions options;

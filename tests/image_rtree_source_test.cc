@@ -2,8 +2,7 @@
 // (DESIGN §3h). The headline guarantee: RtreeKnnSource streams the SAME
 // graded set as the batch-graded QbicColorSource — same ids, bit-identical
 // grades, same order — so every middleware algorithm returns bit-identical
-// top-k answers whichever backend drives sorted access, serially and under
-// PrefetchSource at every depth × pool size.
+// top-k answers whichever backend drives sorted access.
 
 #include "image/rtree_source.h"
 
@@ -15,12 +14,10 @@
 #include <memory>
 
 #include "analysis/source_audit.h"
-#include "common/thread_pool.h"
 #include "image/qbic_source.h"
 #include "middleware/combined.h"
 #include "middleware/fagin.h"
 #include "middleware/nra.h"
-#include "middleware/parallel.h"
 #include "middleware/threshold.h"
 
 namespace fuzzydb {
@@ -30,26 +27,36 @@ bool BitEqual(double a, double b) {
   return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
-using ParallelRunner = Result<TopKResult> (*)(std::span<GradedSource* const>,
-                                              const ScoringRule&, size_t,
-                                              const ParallelOptions&);
+using Runner = Result<TopKResult> (*)(std::span<GradedSource* const>,
+                                      const ScoringRule&, size_t);
 
-Result<TopKResult> CombinedPeriod2TopK(std::span<GradedSource* const> sources,
-                                       const ScoringRule& rule, size_t k,
-                                       const ParallelOptions& options) {
-  return CombinedTopK(sources, rule, k, 2, options);
+Result<TopKResult> FaginRun(std::span<GradedSource* const> sources,
+                            const ScoringRule& rule, size_t k) {
+  return FaginTopK(sources, rule, k);
+}
+Result<TopKResult> ThresholdRun(std::span<GradedSource* const> sources,
+                                const ScoringRule& rule, size_t k) {
+  return ThresholdTopK(sources, rule, k);
+}
+Result<TopKResult> NoRandomAccessRun(std::span<GradedSource* const> sources,
+                                     const ScoringRule& rule, size_t k) {
+  return NoRandomAccessTopK(sources, rule, k);
+}
+Result<TopKResult> CombinedPeriod2Run(std::span<GradedSource* const> sources,
+                                      const ScoringRule& rule, size_t k) {
+  return CombinedTopK(sources, rule, k, 2);
 }
 
 struct AlgoCase {
   const char* name;
-  ParallelRunner run;
+  Runner run;
 };
 
 const AlgoCase kAlgos[] = {
-    {"fagin-a0", static_cast<ParallelRunner>(FaginTopK)},
-    {"ta", static_cast<ParallelRunner>(ThresholdTopK)},
-    {"nra", static_cast<ParallelRunner>(NoRandomAccessTopK)},
-    {"ca-h2", CombinedPeriod2TopK},
+    {"fagin-a0", FaginRun},
+    {"ta", ThresholdRun},
+    {"nra", NoRandomAccessRun},
+    {"ca-h2", CombinedPeriod2Run},
 };
 
 class RtreeSourceTest : public ::testing::Test {
@@ -218,10 +225,9 @@ TEST_F(RtreeSourceTest, CreateValidatesArguments) {
 
 // The determinism harness: every middleware algorithm must return
 // bit-identical answers whether sorted access on the color predicate is
-// driven by the index or by the batch source — serial and at every
-// prefetch depth × pool size. The texture source (m = 2) rides along
-// unchanged in both source sets.
-TEST_F(RtreeSourceTest, TopKAnswersMatchBatchBackendAtEveryDepthAndPool) {
+// driven by the index or by the batch source. The texture source (m = 2)
+// rides along unchanged in both source sets.
+TEST_F(RtreeSourceTest, TopKAnswersMatchBatchBackend) {
   Result<RtreeKnnSource> driver = MakeDriver();
   Result<QbicColorSource> reference = MakeReference();
   Result<QbicTextureSource> texture =
@@ -234,42 +240,25 @@ TEST_F(RtreeSourceTest, TopKAnswersMatchBatchBackendAtEveryDepthAndPool) {
   const size_t k = 10;
 
   for (const AlgoCase& algo : kAlgos) {
-    // Golden: the batch backend, serial.
-    Result<TopKResult> golden =
-        algo.run(batch_set, *rule, k, ParallelOptions{});
+    Result<TopKResult> golden = algo.run(batch_set, *rule, k);
+    Result<TopKResult> got = algo.run(rtree_set, *rule, k);
     ASSERT_TRUE(golden.ok()) << algo.name;
-
-    for (size_t pool_size : {1u, 2u, 7u}) {
-      ThreadPool pool(pool_size);
-      for (size_t depth : {0u, 1u, 8u}) {  // 0 = serial, no prefetch
-        ParallelOptions options;
-        if (depth > 0) {
-          options.pool = &pool;
-          options.prefetch_depth = depth;
-        }
-        Result<TopKResult> got = algo.run(rtree_set, *rule, k, options);
-        const std::string label = std::string(algo.name) + "/pool" +
-                                  std::to_string(pool_size) + "/depth" +
-                                  std::to_string(depth);
-        ASSERT_TRUE(got.ok()) << label;
-        ASSERT_EQ(golden->items.size(), got->items.size()) << label;
-        for (size_t r = 0; r < golden->items.size(); ++r) {
-          EXPECT_EQ(golden->items[r].id, got->items[r].id)
-              << label << " rank " << r;
-          EXPECT_TRUE(
-              BitEqual(golden->items[r].grade, got->items[r].grade))
-              << label << " rank " << r;
-        }
-        // Identical streams ⇒ identical consumed access counts, source by
-        // source, whichever backend produced them.
-        ASSERT_EQ(golden->per_source.size(), got->per_source.size()) << label;
-        for (size_t j = 0; j < golden->per_source.size(); ++j) {
-          EXPECT_EQ(golden->per_source[j].sorted, got->per_source[j].sorted)
-              << label << " source " << j;
-          EXPECT_EQ(golden->per_source[j].random, got->per_source[j].random)
-              << label << " source " << j;
-        }
-      }
+    ASSERT_TRUE(got.ok()) << algo.name;
+    ASSERT_EQ(golden->items.size(), got->items.size()) << algo.name;
+    for (size_t r = 0; r < golden->items.size(); ++r) {
+      EXPECT_EQ(golden->items[r].id, got->items[r].id)
+          << algo.name << " rank " << r;
+      EXPECT_TRUE(BitEqual(golden->items[r].grade, got->items[r].grade))
+          << algo.name << " rank " << r;
+    }
+    // Identical streams ⇒ identical consumed access counts, source by
+    // source, whichever backend produced them.
+    ASSERT_EQ(golden->per_source.size(), got->per_source.size()) << algo.name;
+    for (size_t j = 0; j < golden->per_source.size(); ++j) {
+      EXPECT_EQ(golden->per_source[j].sorted, got->per_source[j].sorted)
+          << algo.name << " source " << j;
+      EXPECT_EQ(golden->per_source[j].random, got->per_source[j].random)
+          << algo.name << " source " << j;
     }
   }
 }

@@ -277,9 +277,10 @@ TEST(WeightedAlgorithmsTest, FaginStaysCorrectWithWeightedRules) {
   Result<GradedSet> truth = NaiveAllGrades(ptrs, *rule);
   ASSERT_TRUE(truth.ok());
   using SerialRunner = Result<TopKResult> (*)(std::span<GradedSource* const>,
-                                              const ScoringRule&, size_t);
-  for (SerialRunner run : {SerialRunner(FaginTopK), SerialRunner(ThresholdTopK)}) {
-    Result<TopKResult> r = run(ptrs, *rule, 10);
+                                              const ScoringRule&, size_t,
+                                              AccessGovernor*);
+  for (SerialRunner run : {&FaginTopK, &ThresholdTopK}) {
+    Result<TopKResult> r = run(ptrs, *rule, 10, nullptr);
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(IsValidTopK(r->items, *truth, 10));
   }

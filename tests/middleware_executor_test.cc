@@ -4,7 +4,6 @@
 
 #include <set>
 
-#include "common/thread_pool.h"
 #include "middleware/composite_rule.h"
 #include "middleware/cost.h"
 #include "middleware/naive.h"
@@ -216,29 +215,6 @@ TEST_F(ExecutorTest, AdaptiveCostModelDerivesCombinedPeriod) {
   for (size_t r = 0; r < derived->topk.items.size(); ++r) {
     EXPECT_EQ(derived->topk.items[r].id, explicit_run->topk.items[r].id);
   }
-}
-
-TEST_F(ExecutorTest, AdaptiveDepthDerivationPreservesAnswersAndCounts) {
-  // With a pool attached and prefetch_depth left at 0, the adaptive cost
-  // model derives a depth; the determinism contract must hold vs serial.
-  QueryPtr q = Query::And({Query::Atomic("A", "x"), Query::Atomic("B", "y")});
-  Result<ExecutionResult> serial = ExecuteTopK(q, resolver_, 5);
-  ASSERT_TRUE(serial.ok());
-
-  ThreadPool pool(3);
-  ExecutorOptions options;
-  options.parallel.pool = &pool;
-  options.adaptive_cost_model = CostModel{};
-  Result<ExecutionResult> adaptive = ExecuteTopK(q, resolver_, 5, options);
-  ASSERT_TRUE(adaptive.ok());
-  EXPECT_EQ(adaptive->algorithm_used, serial->algorithm_used);
-  ASSERT_EQ(serial->topk.items.size(), adaptive->topk.items.size());
-  for (size_t r = 0; r < serial->topk.items.size(); ++r) {
-    EXPECT_EQ(serial->topk.items[r].id, adaptive->topk.items[r].id);
-    EXPECT_EQ(serial->topk.items[r].grade, adaptive->topk.items[r].grade);
-  }
-  EXPECT_EQ(serial->topk.cost.sorted, adaptive->topk.cost.sorted);
-  EXPECT_EQ(serial->topk.cost.random, adaptive->topk.cost.random);
 }
 
 TEST_F(ExecutorTest, AdaptiveModelNeverOverridesPinnedKnobs) {

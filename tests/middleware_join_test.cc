@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "middleware/cost.h"
 #include "middleware/naive.h"
 #include "middleware/threshold.h"
@@ -140,6 +142,91 @@ TEST(TopKJoinTest, JoinsComposeIntoPipelines) {
     ASSERT_TRUE(next.has_value());
     EXPECT_EQ(next->id, expected[i].id) << "position " << i;
     EXPECT_NEAR(next->grade, expected[i].grade, 1e-12);
+  }
+}
+
+// Serves only the first `limit` sorted items of `inner` but reports the
+// full Size(): a subsystem whose sorted stream ends early, without
+// violating the join's same-universe size check.
+class ShortStreamSource final : public GradedSource {
+ public:
+  ShortStreamSource(GradedSource* inner, size_t limit)
+      : inner_(inner), limit_(limit) {}
+  size_t Size() const override { return inner_->Size(); }
+  std::optional<GradedObject> NextSorted() override {
+    if (served_ >= limit_) return std::nullopt;
+    ++served_;
+    return inner_->NextSorted();
+  }
+  void RestartSorted() override {
+    served_ = 0;
+    inner_->RestartSorted();
+  }
+  double RandomAccess(ObjectId id) override {
+    return inner_->RandomAccess(id);
+  }
+  std::vector<GradedObject> AtLeast(double threshold) override {
+    return inner_->AtLeast(threshold);
+  }
+  std::string name() const override { return "short-stream"; }
+
+ private:
+  GradedSource* inner_;
+  const size_t limit_;
+  size_t served_ = 0;
+};
+
+TEST(TopKJoinTest, TieStormAndTruncatedInputsStreamTheTrueGrades) {
+  // Plateaus of duplicate grades exercise the heap tie-breaks; a truncated
+  // sorted stream exercises exhaustion of one input mid-join. Either way
+  // the emitted grades are the true overall ranking's, each emitted object
+  // carries its exact grade, and a restart replays the stream bit for bit.
+  Rng rng(20260815);
+  Workload ties = QuantizedUniform(&rng, 150, 2, 3);
+  Result<std::vector<VectorSource>> tie_sources = ties.MakeSources();
+  ASSERT_TRUE(tie_sources.ok());
+  Workload w = IndependentUniform(&rng, 150, 2);
+  Result<std::vector<VectorSource>> full = w.MakeSources();
+  ASSERT_TRUE(full.ok());
+  ShortStreamSource short_right(&(*full)[1], 20);
+
+  struct Pair {
+    std::vector<GradedSource*> truth_inputs;
+    GradedSource* left;
+    GradedSource* right;
+    const char* name;
+  };
+  const Pair pairs[] = {
+      {SourcePtrs(*tie_sources), &(*tie_sources)[0], &(*tie_sources)[1],
+       "tie-storm"},
+      {SourcePtrs(*full), &(*full)[0], &short_right, "truncated"},
+  };
+  for (const Pair& p : pairs) {
+    Result<GradedSet> truth = NaiveAllGrades(p.truth_inputs, *MinRule());
+    ASSERT_TRUE(truth.ok()) << p.name;
+    std::vector<GradedObject> expected = truth->Sorted();
+    Result<TopKJoinSource> join =
+        TopKJoinSource::Create(p.left, p.right, MinRule());
+    ASSERT_TRUE(join.ok()) << p.name;
+
+    std::vector<GradedObject> first_pass;
+    std::set<ObjectId> emitted;
+    for (size_t i = 0; i < 30; ++i) {
+      std::optional<GradedObject> next = join->NextSorted();
+      ASSERT_TRUE(next.has_value()) << p.name << " position " << i;
+      EXPECT_EQ(next->grade, expected[i].grade) << p.name << " position " << i;
+      EXPECT_EQ(next->grade, truth->GradeOf(next->id).value_or(-1.0))
+          << p.name << " object " << next->id;
+      EXPECT_TRUE(emitted.insert(next->id).second) << p.name;
+      first_pass.push_back(*next);
+    }
+    join->RestartSorted();
+    for (size_t i = 0; i < first_pass.size(); ++i) {
+      std::optional<GradedObject> next = join->NextSorted();
+      ASSERT_TRUE(next.has_value()) << p.name << " replay " << i;
+      EXPECT_EQ(next->id, first_pass[i].id) << p.name << " replay " << i;
+      EXPECT_EQ(next->grade, first_pass[i].grade) << p.name << " replay " << i;
+    }
   }
 }
 

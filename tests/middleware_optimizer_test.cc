@@ -104,32 +104,6 @@ TEST(ConsideredBaseNameTest, StripsParameters) {
   EXPECT_EQ(ConsideredBaseName(""), "");
 }
 
-TEST(DerivePrefetchDepthTest, FollowsExecutorsAndSortedShare) {
-  CostModel model;
-  // A single executor can never overlap anything: depth 0 regardless.
-  EXPECT_EQ(DerivePrefetchDepth(Algorithm::kThreshold, 1000, 2, 10, model, 1),
-            0u);
-  // NRA is pure sorted access: share 1.0 ⇒ deep prefetch, power of two,
-  // clamped to [2, 64].
-  size_t nra4 =
-      DerivePrefetchDepth(Algorithm::kNoRandomAccess, 1000, 2, 10, model, 4);
-  EXPECT_GE(nra4, 2u);
-  EXPECT_LE(nra4, 64u);
-  EXPECT_EQ(nra4 & (nra4 - 1), 0u) << "power of two, got " << nra4;
-  // More executors never shrink the derived depth.
-  EXPECT_GE(
-      DerivePrefetchDepth(Algorithm::kNoRandomAccess, 1000, 2, 10, model, 16),
-      nra4);
-  // When random accesses dominate the charged cost, speculation can't pay:
-  // depth collapses to 1 (pipeline only).
-  CostModel pricey;
-  pricey.random_unit = 1000.0;
-  EXPECT_EQ(
-      DerivePrefetchDepth(Algorithm::kThreshold, 1000, 2, 10, pricey, 4), 1u);
-  // An inapplicable algorithm (no estimate) degrades to no prefetch.
-  EXPECT_EQ(DerivePrefetchDepth(Algorithm::kAuto, 1000, 2, 10, model, 4), 0u);
-}
-
 TEST(ChoosePlanTest, MonotoneConjunctionPrefersSublinearPlans) {
   CostModel model;
   Result<PlanChoice> plan = ChoosePlan(*Conjunction2(), 100000, 10, model);

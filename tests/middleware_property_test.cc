@@ -20,10 +20,10 @@
 namespace fuzzydb {
 namespace {
 
-// The serial 3-argument entry points; the alias disambiguates the parallel
-// overloads added in DESIGN §3e.
+// The top-k entry points, called with no access governor.
 using SerialRunner = Result<TopKResult> (*)(std::span<GradedSource* const>,
-                                            const ScoringRule&, size_t);
+                                            const ScoringRule&, size_t,
+                                            AccessGovernor*);
 
 struct SweepCase {
   std::string name;
@@ -126,8 +126,8 @@ TEST(CompositeTreeSweepTest, RandomMonotoneTreesAgreeAcrossAlgorithms) {
     std::vector<GradedSource*> ptrs = SourcePtrs(*sources);
     Result<GradedSet> truth = NaiveAllGrades(ptrs, *rule);
     ASSERT_TRUE(truth.ok());
-    for (SerialRunner run : {SerialRunner(FaginTopK), SerialRunner(ThresholdTopK)}) {
-      Result<TopKResult> r = run(ptrs, *rule, 5);
+    for (SerialRunner run : {&FaginTopK, &ThresholdTopK}) {
+      Result<TopKResult> r = run(ptrs, *rule, 5, nullptr);
       ASSERT_TRUE(r.ok()) << tree->ToString();
       EXPECT_TRUE(IsValidTopK(r->items, *truth, 5)) << tree->ToString();
     }
@@ -144,8 +144,8 @@ TEST(CorrelatedWorkloadSweepTest, AlgorithmsStayCorrectOffTheIidPath) {
     std::vector<GradedSource*> ptrs = SourcePtrs(*sources);
     Result<GradedSet> truth = NaiveAllGrades(ptrs, *MinRule());
     ASSERT_TRUE(truth.ok());
-    for (SerialRunner run : {SerialRunner(FaginTopK), SerialRunner(ThresholdTopK)}) {
-      Result<TopKResult> r = run(ptrs, *MinRule(), 10);
+    for (SerialRunner run : {&FaginTopK, &ThresholdTopK}) {
+      Result<TopKResult> r = run(ptrs, *MinRule(), 10, nullptr);
       ASSERT_TRUE(r.ok());
       EXPECT_TRUE(IsValidTopK(r->items, *truth, 10)) << "rho=" << rho;
     }
@@ -159,8 +159,8 @@ TEST(CorrelatedWorkloadSweepTest, AlgorithmsStayCorrectOffTheIidPath) {
     std::vector<GradedSource*> ptrs = SourcePtrs(*sources);
     Result<GradedSet> truth = NaiveAllGrades(ptrs, *MinRule());
     ASSERT_TRUE(truth.ok());
-    for (SerialRunner run : {SerialRunner(FaginTopK), SerialRunner(ThresholdTopK), SerialRunner(NoRandomAccessTopK)}) {
-      Result<TopKResult> r = run(ptrs, *MinRule(), 10);
+    for (SerialRunner run : {&FaginTopK, &ThresholdTopK, &NoRandomAccessTopK}) {
+      Result<TopKResult> r = run(ptrs, *MinRule(), 10, nullptr);
       ASSERT_TRUE(r.ok());
       // NRA grades may be bounds; check set membership only.
       std::vector<GradedObject> expected = truth->TopK(10);
@@ -185,8 +185,8 @@ TEST(ZeroOneRelationalSweepTest, MixedCrispAndGradedLists) {
     std::vector<GradedSource*> ptrs = SourcePtrs(*sources);
     Result<GradedSet> truth = NaiveAllGrades(ptrs, *MinRule());
     ASSERT_TRUE(truth.ok());
-    for (SerialRunner run : {SerialRunner(FaginTopK), SerialRunner(ThresholdTopK)}) {
-      Result<TopKResult> r = run(ptrs, *MinRule(), 5);
+    for (SerialRunner run : {&FaginTopK, &ThresholdTopK}) {
+      Result<TopKResult> r = run(ptrs, *MinRule(), 5, nullptr);
       ASSERT_TRUE(r.ok());
       EXPECT_TRUE(IsValidTopK(r->items, *truth, 5))
           << "selectivity " << selectivity;

@@ -4,7 +4,7 @@
 // consumed access counts, truncation point — is bit-identical to a serial
 // ExecuteTopK of the same plan, at every pool size, tie-storms and budget
 // truncations included. Concurrency lives between queries, never inside
-// one, so the §3e determinism contract lifts from algorithms to the server.
+// one, so the algorithms' determinism lifts to the server.
 
 #include "server/query_server.h"
 
@@ -80,9 +80,9 @@ QueryCtx MakeCtx(const Workload& w) {
   return ctx;
 }
 
-// The server's execution path run serially: same plan choice, same serial
-// ParallelOptions, optional same budget — the reference every concurrent
-// answer must match bit for bit.
+// The server's execution path run on the calling thread: same plan choice,
+// optional same budget — the reference every concurrent answer must match
+// bit for bit.
 ExecutionResult SerialReference(const QueryPtr& query, const Workload& w,
                                 size_t k, uint64_t budget = 0) {
   QueryCtx ctx = MakeCtx(w);
