@@ -237,7 +237,8 @@ CellResult RunCell(size_t mix, const Workload& w, size_t pool_executors,
     // k); the rest are unique keys that must execute.
     const bool hot = (i % 10) < 3;
     const size_t k_index = hot ? 1 : i % 4;  // kColdKs[1] == kHotK
-    const std::string target = hot ? "hot" : "q" + std::to_string(i);
+    std::string target = hot ? "hot" : "q";
+    if (!hot) target += std::to_string(i);
     ctxs.push_back(std::make_unique<QueryCtx>(MakeCtx(w, mix % 4 == 3)));
     prepared.push_back({MixQuery(mix, target), k_index});
   }
@@ -479,9 +480,10 @@ void BM_ServerBurst(benchmark::State& state) {
     std::vector<std::shared_ptr<Ticket<ServedResult>>> tickets;
     for (size_t i = 0; i < kBurst; ++i) {
       ctxs.push_back(std::make_unique<QueryCtx>(MakeCtx(w, i % 4 == 3)));
+      std::string target = "q";
+      target += std::to_string(i);
       Result<Submission> sub =
-          server.Submit(MixQuery(i, "q" + std::to_string(i)), 5,
-                        ctxs.back()->resolver);
+          server.Submit(MixQuery(i, target), 5, ctxs.back()->resolver);
       if (sub.ok()) tickets.push_back(sub->ticket);
     }
     server.Drain();

@@ -21,7 +21,8 @@
 #           loudly without a Clang toolchain; CI runs it strictly.
 #   simd    Native-arch CHECKIN build; reruns the kernel-sensitive tests
 #           (simd dispatch, quantized tier, embedding, sharded kernels,
-#           R-tree driver source, analysis contracts) once per
+#           R-tree driver source, analysis contracts, paged store and
+#           paged sources) once per
 #           FUZZYDB_SIMD level in {scalar,
 #           avx2, avx512}. The dispatcher clamps a forced level to what the
 #           host supports, so every leg runs everywhere and the widest ISA
@@ -98,7 +99,7 @@ case "${MODE}" in
       echo "== FUZZYDB_SIMD=${level} (clamped to host support) =="
       FUZZYDB_SIMD="${level}" ctest --test-dir build-simd \
         --output-on-failure -j "${JOBS}" \
-        -R 'simd|quantized|embedding|parallel_kernel|aligned_buffer|analysis|rtree'
+        -R 'simd|quantized|embedding|parallel_kernel|aligned_buffer|analysis|rtree|storage_paged'
     done ;;
   server)
     cmake -B build-server -S . -DFUZZYDB_TSAN=ON

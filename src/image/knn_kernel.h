@@ -32,7 +32,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -151,23 +151,43 @@ inline size_t ResolveShards(size_t shards, ThreadPool* pool, size_t n) {
   return std::max<size_t>(1, std::min(shards, std::max<size_t>(n, 1)));
 }
 
+// Offers (d, i) to `heap`, a max-heap (std::push_heap order) holding the
+// `capacity` lexicographically smallest (d, index) pairs offered so far.
+// Pairs must be offered in ascending i: a d equal to the heap's maximum
+// then loses its tie on index, so one compare against the top decides.
+inline void OfferSmallest(std::vector<std::pair<double, size_t>>* heap,
+                          size_t capacity, double d, size_t i) {
+  if (heap->size() < capacity) {
+    heap->emplace_back(d, i);
+    std::push_heap(heap->begin(), heap->end());
+  } else if (d < heap->front().first) {
+    std::pop_heap(heap->begin(), heap->end());
+    heap->back() = {d, i};
+    std::push_heap(heap->begin(), heap->end());
+  }
+}
+
 // The exact top-k kernel restricted to rows [range.begin, range.end):
-// appends up to k local-best (d^2, index) pairs to `best` (unsorted).
-// Returns false iff the accessor failed mid-shard (partial `best` must be
-// discarded by the caller).
+// fills the empty `best` with up to k local-best (d^2, index) pairs
+// (unsorted; ToOutput sorts them). Returns false iff the accessor failed
+// mid-shard (partial `best` must be discarded by the caller).
 template <typename RowAccessor>
 bool ExactKnnShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT target,
                    size_t dim, size_t k, ShardRange range,
                    std::vector<std::pair<double, size_t>>* best) {
-  best->reserve(range.size());
+  k = std::min(k, range.size());
+  best->reserve(k);
   for (size_t i = range.begin; i < range.end; ++i) {
     const double* FUZZYDB_RESTRICT row = rows.Acquire(i);
     if (row == nullptr) return false;
-    best->emplace_back(SquaredDistance(row, target, dim), i);
+    OfferSmallest(best, k, SquaredDistance(row, target, dim), i);
   }
-  KeepKSmallest(best, std::min(k, range.size()));
   return true;
 }
+
+// Rows per level −1 slice: the bound pass fills this many bounds with one
+// batched QuantizedStore call, then selects over them while they are in L1.
+constexpr size_t kBoundSlice = 4096;
 
 // The cascade restricted to rows [range.begin, range.end): appends up to
 // k local best (d^2, index) pairs to `best` (unsorted) and adds this
@@ -191,35 +211,47 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
   // the int8 level −1 (quantized codes, ~1 byte/dim) or the float s0-dim
   // prefix (8 bytes/dim over s0 of dim dims). Both are admissible lower
   // bounds on d^2, so either ordering admits early termination with no
-  // false dismissals. In float mode the accumulator state is kept so
-  // refinement can resume from the prefix without recomputing it.
-  std::vector<SquaredDistanceAccumulator> prefix;
-  std::vector<double> bound(n);
+  // false dismissals. The walk visits rows in ascending (bound, local
+  // index) order, but only its visited prefix is ever sorted: the pass
+  // keeps the `capacity` smallest pairs in a max-heap (the first chunk),
+  // and a chunk the walk uses up without stopping is followed by the next
+  // 2x larger one, selected from the stored bounds strictly after the last
+  // pair visited — never by re-reading rows. Both buffers are per-thread
+  // scratch, reused across queries, so a query allocates nothing in
+  // proportion to its shard.
+  thread_local std::vector<double> bound;
+  thread_local std::vector<std::pair<double, size_t>> chunk;
+  bound.resize(n);
+  chunk.clear();
+  size_t capacity = std::max<size_t>(4 * k, 256);
+  // The heap's order is only defined when no bound is NaN.
+  auto select = [&](size_t i) {
+    FUZZYDB_INVARIANT(!std::isnan(bound[i]),
+                      "cascade bound is NaN for row " +
+                          std::to_string(range.begin + i));
+    OfferSmallest(&chunk, capacity, bound[i], i);
+  };
   if (qquery != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      bound[i] = qs->LowerBound2(*qquery, range.begin + i);
+    for (size_t lo = 0; lo < n; lo += kBoundSlice) {
+      const size_t len = std::min(kBoundSlice, n - lo);
+      qs->LowerBounds2Range(*qquery, range.begin + lo,
+                            std::span<double>(bound).subspan(lo, len));
+      for (size_t i = lo; i < lo + len; ++i) select(i);
     }
     stats->quantized_bound_computations += n;
     stats->bytes_scanned_quantized += n * qs->row_bytes();
   } else {
-    prefix.resize(n);
     for (size_t i = 0; i < n; ++i) {
       const double* FUZZYDB_RESTRICT row = rows.Acquire(range.begin + i);
       if (row == nullptr) return false;
-      prefix[i].Accumulate(row, t, 0, s0);
-      bound[i] = prefix[i].Total();
+      SquaredDistanceAccumulator prefix;
+      prefix.Accumulate(row, t, 0, s0);
+      bound[i] = prefix.Total();
+      select(i);
     }
     stats->bound_computations += n;
     stats->bytes_scanned_prefix += n * s0 * sizeof(double);
   }
-
-  // Visit candidates in ascending (bound, index) order.
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&bound](size_t a, size_t b) {
-    if (bound[a] != bound[b]) return bound[a] < bound[b];
-    return a < b;
-  });
 
   // Current k best as (d^2, global index); "worst" is the lexicographic
   // maximum, matching ExactKnn's tie-break (distance ascending, then index).
@@ -232,32 +264,29 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
     }
   };
 
-  for (size_t local_idx : order) {
-    const double b = bound[local_idx];
-    // Strict >: a candidate whose bound ties the worst d^2 could still win
-    // its tie on index, so only a strictly larger bound ends the scan.
-    if (best->size() == k && b > (*best)[worst_pos].first) break;
-
-    // Refine dimension-incrementally from the prefix, early-exiting as soon
-    // as the partial sum (a valid lower bound at every length) provably
-    // exceeds the current k-th best.
-    const size_t idx = range.begin + local_idx;
+  // Refines one visited candidate (global row idx, ordering bound b) into
+  // `best`; false iff the accessor failed.
+  auto refine = [&](double b, size_t idx) {
+    // Refine dimension-incrementally from the s0-dim prefix, early-exiting
+    // as soon as the partial sum (a valid lower bound at every length)
+    // provably exceeds the current k-th best.
     const double* FUZZYDB_RESTRICT row = rows.Acquire(idx);
     if (row == nullptr) return false;
+    // In float mode this recomputes the bound pass's prefix rather than
+    // storing it per row: the accumulator is split-invariant, so the state
+    // is bit-identical, and the counters charged the prefix once, above.
     SquaredDistanceAccumulator acc;
+    acc.Accumulate(row, t, 0, s0);
     bool pruned = false;
     if (qquery != nullptr) {
       // Level 0 runs lazily: the float prefix is read only for candidates
       // the int8 bound could not dismiss. Its own bound can prune a
       // candidate the walk ordering (keyed on the quantized bound) let
       // through — a skip of this candidate, never a halt of the walk.
-      acc.Accumulate(row, t, 0, s0);
       ++stats->bound_computations;
       stats->bytes_scanned_prefix += s0 * sizeof(double);
       pruned = s0 < dim && best->size() == k &&
                acc.Total() > (*best)[worst_pos].first;
-    } else {
-      acc = prefix[local_idx];
     }
     size_t j = s0;
     while (j < dim && !pruned) {
@@ -292,7 +321,7 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
     stats->dims_accumulated += j - s0;
     stats->bytes_scanned_refine += (j - s0) * sizeof(double);
     if (j == dim) ++stats->full_distance_computations;
-    if (pruned) continue;
+    if (pruned) return true;
 
     const double d2 = acc.Total();
     if (best->size() < k) {
@@ -302,8 +331,28 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
       (*best)[worst_pos] = {d2, idx};
       recompute_worst();
     }
+    return true;
+  };
+
+  for (;;) {
+    std::sort_heap(chunk.begin(), chunk.end());
+    for (const auto& [b, local_idx] : chunk) {
+      // Strict >: a candidate whose bound ties the worst d^2 could still
+      // win its tie on index, so only a strictly larger bound ends the scan.
+      if (best->size() == k && b > (*best)[worst_pos].first) return true;
+      if (!refine(b, range.begin + local_idx)) return false;
+    }
+    // A chunk below its capacity held every row not yet visited.
+    if (chunk.size() < capacity) return true;
+    const std::pair<double, size_t> last = chunk.back();
+    capacity *= 2;
+    chunk.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (last < std::pair(bound[i], i)) {
+        OfferSmallest(&chunk, capacity, bound[i], i);
+      }
+    }
   }
-  return true;
 }
 
 }  // namespace knn_internal

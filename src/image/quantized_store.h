@@ -129,8 +129,16 @@ class QuantizedStore {
   EncodedQuery EncodeQuery(std::span<const double> target) const;
 
   /// The admissible lower bound on the exact *squared* distance between row
-  /// i and the encoded target: max(0, d~ * (1 - 1e-9) - r_x - r_t)^2.
+  /// i and the encoded target: max(0, d~ * (1 - 1e-9) - r_x - r_t)^2. The
+  /// single-row path (R-tree driver, auditors); scans use LowerBounds2Range.
   double LowerBound2(const EncodedQuery& query, size_t i) const;
+
+  /// out[r] = LowerBound2(query, begin + r) for every r < out.size(), bit for
+  /// bit. One kernel call scores a whole batch of contiguous rows against the
+  /// query replicated once per row; each row is then recombined in
+  /// LowerBound2's ascending-block order, the loops running across rows.
+  void LowerBounds2Range(const EncodedQuery& query, size_t begin,
+                         std::span<double> out) const;
 
   /// Level −1 batch scan: out[i] = LowerBound2(query, i) for every row, one
   /// contiguous pass over the int8 buffer.

@@ -167,6 +167,30 @@ TEST_F(CascadeAuditTest, GenuineLowerBoundPassesTheFilterAudit) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+TEST_F(CascadeAuditTest, NanTargetTripsTheCascadeBoundInvariant) {
+  // The walk's (bound, index) selection heap is only ordered when no bound
+  // is NaN; both bound passes check that before a bound enters the heap.
+  if (!ContractChecksEnabled()) {
+    GTEST_SKIP() << "contract checks compiled out in this build";
+  }
+  std::vector<double> target(store_.dim(), 0.1);
+  target[0] = std::nan("");
+  for (bool int8 : {true, false}) {
+    SCOPED_TRACE(int8 ? "int8 level -1" : "float prefix");
+    ContractHandlerScope scope;
+    CascadeOptions options;
+    options.use_quantized = int8;
+    store_.CascadeKnn(target, 5, options);
+    EXPECT_GE(g_violations, 1);
+    EXPECT_TRUE(std::any_of(g_messages.begin(), g_messages.end(),
+                            [](const std::string& m) {
+                              return m.find("bound is NaN") !=
+                                     std::string::npos;
+                            }))
+        << ::testing::PrintToString(g_messages);
+  }
+}
+
 TEST(SourceAuditTest, VectorSourcePassesTheAccessContract) {
   Rng rng(99);
   std::vector<GradedObject> items;

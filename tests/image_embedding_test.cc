@@ -13,6 +13,7 @@
 
 #include "image/bounding.h"
 #include "image/image_store.h"
+#include "tests/cascade_reference.h"
 
 namespace fuzzydb {
 namespace {
@@ -311,6 +312,75 @@ TEST(CascadeDegenerateTest, ClusteredPaletteCollapsesDistancesButStaysExact) {
     for (size_t i = 0; i < exact.size(); ++i) {
       EXPECT_EQ(cascade[i].first, exact[i].first) << "rank " << i;
       EXPECT_EQ(cascade[i].second, exact[i].second) << "rank " << i;
+    }
+  }
+}
+
+// The cascade must visit exactly the (bound, index)-ascending sequence of a
+// full sort of every row's bound, whatever chunk of that sequence its
+// bounded selection holds: answers and every CascadeStats counter equal the
+// full-sort reference walk, on tie storms broken only by index.
+TEST(CascadeWalkOrderTest, MatchesTheFullSortWalkOnTieStorms) {
+  using cascade_reference::GoldenCollection;
+  const GoldenCollection golden = GoldenCollection::Make();
+  const size_t n = golden.rows.size();
+  EmbeddingStore store(n, GoldenCollection::kDim);
+  for (size_t i = 0; i < n; ++i) {
+    std::copy(golden.rows[i].begin(), golden.rows[i].end(),
+              store.MutableRow(i).begin());
+  }
+  store.BuildQuantized();
+  const QuantizedStore& qs = store.quantized();
+
+  // The cluster really is a tie storm at both levels: its int8 bounds clamp
+  // to 0.0 and its float prefix bounds are exactly 0.
+  const std::vector<double>& centre = golden.targets[0];
+  const QuantizedStore::EncodedQuery enc = qs.EncodeQuery(centre);
+  size_t int8_zero = 0;
+  size_t prefix_zero = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (qs.LowerBound2(enc, i) == 0.0) ++int8_zero;
+    if (SquaredDistance(store.Row(i).data(), centre.data(),
+                        GoldenCollection::kPrefixDim) == 0.0) {
+      ++prefix_zero;
+    }
+  }
+  EXPECT_GE(int8_zero, GoldenCollection::kCluster);
+  EXPECT_GE(prefix_zero, GoldenCollection::kCluster);
+
+  struct StoreRows {
+    const EmbeddingStore* store;
+    const double* Acquire(size_t i) { return store->Row(i).data(); }
+  };
+  ThreadPool pool(3);
+  for (size_t t = 0; t < golden.targets.size(); ++t) {
+    const std::vector<double>& target = golden.targets[t];
+    for (size_t shards : {1u, 2u, 3u}) {
+      for (bool int8 : {true, false}) {
+        for (size_t k : {size_t{1}, size_t{10}, size_t{100}, n}) {
+          SCOPED_TRACE("target=" + std::to_string(t) +
+                       " shards=" + std::to_string(shards) +
+                       " int8=" + std::to_string(int8) +
+                       " k=" + std::to_string(k));
+          CascadeOptions options;
+          options.use_quantized = int8;
+          CascadeStats want_stats;
+          std::vector<std::pair<size_t, double>> want;
+          ASSERT_TRUE(cascade_reference::FullSortCascadeKnn(
+              [&] { return StoreRows{&store}; }, n, target, k, options,
+              int8 ? &qs : nullptr, shards, &want, &want_stats));
+          CascadeStats got_stats;
+          cascade_reference::ExpectSameAnswer(
+              store.CascadeKnn(target, k, options, &got_stats, &pool, shards),
+              want);
+          cascade_reference::ExpectSameStats(got_stats, want_stats);
+          if (t == 0 && k == 10 && shards == 1) {
+            // The walk used up the first chunk (256 pairs) and the second
+            // (512) before it could stop.
+            EXPECT_GT(got_stats.candidates_refined, 256u + 512u);
+          }
+        }
+      }
     }
   }
 }

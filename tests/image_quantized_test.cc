@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 
 #include "common/squared_distance.h"
@@ -163,23 +165,48 @@ TEST(QuantizedStoreTest, AdversarialScaleBlockStaysAdmissible) {
 
 TEST(QuantizedStoreTest, BatchLowerBoundsShardedIsBitIdenticalToSerial) {
   Rng rng(6047);
-  Palette palette = Palette::Uniform(32, &rng);
-  QuadraticFormDistance qfd = *QuadraticFormDistance::Create(palette);
-  EmbeddingStore store =
-      *EmbeddingStore::Build(qfd, RandomDatabase(&rng, 203, 32));
-  const QuantizedStore& qs = store.quantized();
-  const QuantizedStore::EncodedQuery enc =
-      qs.EncodeQuery(qfd.Embed(RandomHistogram(&rng, 32)));
-  std::vector<double> serial(qs.size());
-  qs.BatchLowerBounds2(enc, serial);
-  ThreadPool pool(4);
-  for (size_t shards : ShardCounts()) {
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      std::vector<double> sharded(qs.size(), -1.0);
-      qs.BatchLowerBounds2(enc, sharded, p, shards);
-      for (size_t i = 0; i < serial.size(); ++i) {
-        ASSERT_EQ(sharded[i], serial[i])
-            << "shards=" << shards << " pool=" << (p != nullptr) << " i=" << i;
+  // Padded dims 16, 32 and 64: batches of 256, 128 and 64 rows, so 203 rows
+  // end in a partial batch (or never fill one).
+  for (size_t bins : {8u, 32u, 64u}) {
+    SCOPED_TRACE("bins=" + std::to_string(bins));
+    Palette palette = Palette::Uniform(bins, &rng);
+    QuadraticFormDistance qfd = *QuadraticFormDistance::Create(palette);
+    EmbeddingStore store =
+        *EmbeddingStore::Build(qfd, RandomDatabase(&rng, 203, bins));
+    const QuantizedStore& qs = store.quantized();
+    const QuantizedStore::EncodedQuery enc =
+        qs.EncodeQuery(qfd.Embed(RandomHistogram(&rng, bins)));
+    std::vector<double> serial(qs.size());
+    qs.BatchLowerBounds2(enc, serial);
+    // The batched routine equals the single-row path bit for bit.
+    for (size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(serial[i]),
+                std::bit_cast<uint64_t>(qs.LowerBound2(enc, i)))
+          << "i=" << i;
+    }
+    // Any range: 1-row ranges, and lengths around the batch size.
+    for (size_t begin : {size_t{0}, size_t{1}, size_t{70}, size_t{202}}) {
+      for (size_t len : {1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u, 203u}) {
+        if (begin + len > qs.size()) continue;
+        std::vector<double> part(len, -1.0);
+        qs.LowerBounds2Range(enc, begin, part);
+        for (size_t r = 0; r < len; ++r) {
+          ASSERT_EQ(std::bit_cast<uint64_t>(part[r]),
+                    std::bit_cast<uint64_t>(serial[begin + r]))
+              << "begin=" << begin << " len=" << len << " r=" << r;
+        }
+      }
+    }
+    ThreadPool pool(4);
+    for (size_t shards : ShardCounts()) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        std::vector<double> sharded(qs.size(), -1.0);
+        qs.BatchLowerBounds2(enc, sharded, p, shards);
+        for (size_t i = 0; i < serial.size(); ++i) {
+          ASSERT_EQ(sharded[i], serial[i]) << "shards=" << shards
+                                           << " pool=" << (p != nullptr)
+                                           << " i=" << i;
+        }
       }
     }
   }

@@ -20,8 +20,10 @@
 
 #include "analysis/storage_audit.h"
 #include "image/image_store.h"
+#include "storage/buffer_pool.h"
 #include "storage/column_file.h"
 #include "storage/ingest.h"
+#include "tests/cascade_reference.h"
 
 namespace fuzzydb {
 namespace storage {
@@ -220,6 +222,109 @@ TEST(PagedStoreTest, QuantizedTierCanBeDisabledAtOpen) {
   ASSERT_TRUE(cascade.ok());
   EXPECT_EQ(*exact, *cascade);
   std::remove(fx.path.c_str());
+}
+
+// Paged twin of CascadeWalkOrderTest (image_embedding_test): the paged
+// cascade visits the full-sort reference's sequence, so answers, every
+// arithmetic counter and — because it also fetches the same pages in the
+// same order — every buffer-pool counter match a reference walk over an
+// identically sized pool of its own. The pool holds 16 of the file's 120
+// pages, so the float bound pass evicts and survivor fetches miss.
+TEST(PagedStoreTest, CascadeWalkMatchesTheFullSortWalkOnTieStorms) {
+  using cascade_reference::GoldenCollection;
+  const GoldenCollection golden = GoldenCollection::Make();
+  const size_t n = golden.rows.size();
+  const std::string path = TestPath("walk_order");
+  ColumnFileOptions file_options;
+  file_options.page_bytes = 4096;
+  {
+    Result<std::unique_ptr<ColumnFileWriter>> writer =
+        ColumnFileWriter::Create(path, GoldenCollection::kDim, file_options);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const std::vector<double>& row : golden.rows) {
+      ASSERT_TRUE((*writer)->AppendRow(row).ok());
+    }
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  PagedStoreOptions store_options;
+  store_options.pool_bytes = 16 * file_options.page_bytes;
+  Result<std::unique_ptr<PagedEmbeddingStore>> paged =
+      PagedEmbeddingStore::Open(path, store_options);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  ASSERT_TRUE((*paged)->has_quantized());
+
+  // The reference's own pool and accessor, fetching like the store's: pin
+  // the next page before the previous one is released.
+  Result<std::shared_ptr<ColumnFile>> file = ColumnFile::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_EQ((*file)->num_pages(), 120u);
+  BufferPoolOptions pool_options;
+  pool_options.page_bytes = file_options.page_bytes;
+  pool_options.capacity_pages = 16;
+  BufferPool ref_pool(pool_options,
+                      [f = *file](uint64_t page, std::span<char> dest) {
+                        return f->ReadPage(page, dest);
+                      });
+  struct PoolRows {
+    BufferPool* pool;
+    size_t rows_per_page;
+    size_t stride;
+    PageHandle handle;
+    const double* Acquire(size_t i) {
+      const uint64_t page = i / rows_per_page;
+      if (!handle.valid() || handle.page() != page) {
+        Result<PageHandle> fetched = pool->Fetch(page);
+        if (!fetched.ok()) return nullptr;
+        handle = std::move(fetched).value();
+      }
+      return handle.doubles() + (i - page * rows_per_page) * stride;
+    }
+  };
+  auto make_rows = [&] {
+    return PoolRows{&ref_pool, (*file)->rows_per_page(), (*file)->stride(),
+                    PageHandle()};
+  };
+
+  for (size_t t = 0; t < golden.targets.size(); ++t) {
+    const std::vector<double>& target = golden.targets[t];
+    for (size_t shards : {1u, 2u, 3u}) {
+      for (bool int8 : {true, false}) {
+        for (size_t k : {size_t{1}, size_t{10}, size_t{100}, n}) {
+          SCOPED_TRACE("target=" + std::to_string(t) +
+                       " shards=" + std::to_string(shards) +
+                       " int8=" + std::to_string(int8) +
+                       " k=" + std::to_string(k));
+          CascadeOptions options;
+          options.use_quantized = int8;
+          const BufferPoolStats before = ref_pool.stats();
+          CascadeStats want_stats;
+          std::vector<std::pair<size_t, double>> want;
+          ASSERT_TRUE(cascade_reference::FullSortCascadeKnn(
+              make_rows, n, target, k, options,
+              int8 ? &(*paged)->quantized() : nullptr, shards, &want,
+              &want_stats));
+          const BufferPoolStats after = ref_pool.stats();
+          want_stats.bytes_read_disk =
+              after.bytes_read_disk - before.bytes_read_disk;
+          want_stats.buffer_pool_hits = after.hits - before.hits;
+          want_stats.buffer_pool_misses = after.misses - before.misses;
+          want_stats.buffer_pool_evictions =
+              after.evictions - before.evictions;
+
+          CascadeStats got_stats;
+          Result<std::vector<std::pair<size_t, double>>> got =
+              (*paged)->CascadeKnn(target, k, options, &got_stats,
+                                   /*pool=*/nullptr, shards);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          cascade_reference::ExpectSameAnswer(*got, want);
+          cascade_reference::ExpectSameStats(got_stats, want_stats);
+        }
+      }
+    }
+  }
+  EXPECT_GT(ref_pool.stats().evictions, 0u);
+  (*paged)->Close();
+  std::remove(path.c_str());
 }
 
 }  // namespace
