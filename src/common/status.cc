@@ -36,11 +36,22 @@ const char* CodeName(StatusCode code) {
 
 }  // namespace
 
+Status::Status(StatusCode code, std::string message) {
+  if (code != StatusCode::kOk) {
+    state_ = std::make_unique<State>(State{code, std::move(message)});
+  }
+}
+
+const std::string& Status::message() const {
+  static const std::string kEmpty;
+  return ok() ? kEmpty : state_->message;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
-  std::string out = CodeName(code_);
+  std::string out = CodeName(state_->code);
   out += ": ";
-  out += message_;
+  out += state_->message;
   return out;
 }
 

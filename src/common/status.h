@@ -5,6 +5,7 @@
 #define FUZZYDB_COMMON_STATUS_H_
 
 #include <cassert>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -30,14 +31,31 @@ enum class StatusCode {
 /// Return value describing success or a recoverable failure.
 ///
 /// A default-constructed Status is OK. Error statuses carry a code and a
-/// human-readable message. Statuses are cheap to copy in the OK case.
+/// human-readable message. A Status is one pointer (Arrow's layout): OK is
+/// null, and an error owns its code and message on the heap, deep-copied on
+/// copy. OK, the common case, allocates nothing, and every Result or result
+/// struct that holds a Status pays one pointer for it.
 class Status {
  public:
   /// Constructs an OK status.
-  Status() = default;
+  Status() noexcept = default;
 
-  Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+  /// An error with `code` and `message`; `StatusCode::kOk` gives a plain OK
+  /// status and drops the message.
+  Status(StatusCode code, std::string message);
+
+  Status(const Status& other)
+      : state_(other.state_ ? std::make_unique<State>(*other.state_)
+                            : nullptr) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) {
+      state_ = other.state_ ? std::make_unique<State>(*other.state_) : nullptr;
+    }
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
+  ~Status() = default;
 
   /// Factory for the OK status.
   static Status OK() { return Status(); }
@@ -80,20 +98,24 @@ class Status {
   }
 
   /// True iff this status represents success.
-  bool ok() const { return code_ == StatusCode::kOk; }
-  StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  bool ok() const { return state_ == nullptr; }
+  StatusCode code() const { return ok() ? StatusCode::kOk : state_->code; }
+  /// The error message; empty for OK.
+  const std::string& message() const;
 
   /// "OK" or "<code>: <message>", for logs and test failure output.
   std::string ToString() const;
 
   bool operator==(const Status& other) const {
-    return code_ == other.code_ && message_ == other.message_;
+    return code() == other.code() && message() == other.message();
   }
 
  private:
-  StatusCode code_ = StatusCode::kOk;
-  std::string message_;
+  struct State {
+    StatusCode code;
+    std::string message;
+  };
+  std::unique_ptr<State> state_;  // null iff OK
 };
 
 /// Either a value of type T or an error Status; analogous to arrow::Result.

@@ -1,19 +1,17 @@
 #include "image/qbic_source.h"
 
-#include <algorithm>
+#include <cmath>
+#include <optional>
+#include <vector>
 
 namespace fuzzydb {
 
 namespace {
 
-std::vector<GradedObject> AtLeastFromSorted(
-    const std::vector<GradedObject>& sorted, double threshold) {
-  // The list is grade-descending, so the qualifying objects are exactly the
-  // prefix before the partition point — found by binary search.
-  auto end = std::partition_point(
-      sorted.begin(), sorted.end(),
-      [threshold](const GradedObject& g) { return g.grade >= threshold; });
-  return {sorted.begin(), end};
+// Ids are assigned contiguously from the first image's (ImageStore::Find),
+// so grades index densely by position.
+ObjectId FirstId(const ImageStore& store) {
+  return store.size() == 0 ? 0 : store.image(0).id;
 }
 
 }  // namespace
@@ -26,69 +24,31 @@ Result<QbicColorSource> QbicColorSource::Create(const ImageStore* store,
   if (target.size() != store->palette().size()) {
     return Status::InvalidArgument("target histogram has wrong bin count");
   }
-  QbicColorSource src;
-  src.label_ = std::move(label);
-  src.sorted_.reserve(store->size());
   // Grade through the embedding layer: one O(bins^2) projection of the
   // target, then one batched O(bins)-per-image pass over the store's
   // contiguous embedding buffer, sharded across the shared pool.
   std::vector<double> target_embedding = store->color_distance().Embed(target);
-  std::vector<double> distances(store->size());
-  store->embeddings().BatchDistances(target_embedding, distances,
+  std::vector<double> grades(store->size());
+  store->embeddings().BatchDistances(target_embedding, grades,
                                      ThreadPool::Shared());
-  for (size_t i = 0; i < store->size(); ++i) {
-    const ImageRecord& rec = store->image(i);
-    double grade = store->ColorGradeFromDistance(distances[i]);
-    src.sorted_.push_back({rec.id, grade});
-    src.grades_.emplace(rec.id, grade);
-  }
-  std::sort(src.sorted_.begin(), src.sorted_.end(), GradeDescending);
+  for (double& g : grades) g = store->ColorGradeFromDistance(g);
+  QbicColorSource src;
+  src.Materialize(std::move(label), FirstId(*store), std::move(grades));
   return src;
-}
-
-std::optional<GradedObject> QbicColorSource::NextSorted() {
-  if (cursor_ >= sorted_.size()) return std::nullopt;
-  return sorted_[cursor_++];
-}
-
-double QbicColorSource::RandomAccess(ObjectId id) {
-  auto it = grades_.find(id);
-  return it == grades_.end() ? 0.0 : it->second;
-}
-
-std::vector<GradedObject> QbicColorSource::AtLeast(double threshold) {
-  return AtLeastFromSorted(sorted_, threshold);
 }
 
 Result<QbicTextureSource> QbicTextureSource::Create(
     const ImageStore* store, const TextureFeatures& target,
     std::string label) {
   if (store == nullptr) return Status::InvalidArgument("null store");
-  QbicTextureSource src;
-  src.label_ = std::move(label);
-  src.sorted_.reserve(store->size());
-  for (const ImageRecord& rec : store->images()) {
-    double grade =
-        TextureGradeFromDistance(TextureDistance(rec.texture, target));
-    src.sorted_.push_back({rec.id, grade});
-    src.grades_.emplace(rec.id, grade);
+  std::vector<double> grades(store->size());
+  for (size_t i = 0; i < store->size(); ++i) {
+    grades[i] = TextureGradeFromDistance(
+        TextureDistance(store->image(i).texture, target));
   }
-  std::sort(src.sorted_.begin(), src.sorted_.end(), GradeDescending);
+  QbicTextureSource src;
+  src.Materialize(std::move(label), FirstId(*store), std::move(grades));
   return src;
-}
-
-std::optional<GradedObject> QbicTextureSource::NextSorted() {
-  if (cursor_ >= sorted_.size()) return std::nullopt;
-  return sorted_[cursor_++];
-}
-
-double QbicTextureSource::RandomAccess(ObjectId id) {
-  auto it = grades_.find(id);
-  return it == grades_.end() ? 0.0 : it->second;
-}
-
-std::vector<GradedObject> QbicTextureSource::AtLeast(double threshold) {
-  return AtLeastFromSorted(sorted_, threshold);
 }
 
 Result<QbicShapeSource> QbicShapeSource::Create(
@@ -98,51 +58,45 @@ Result<QbicShapeSource> QbicShapeSource::Create(
   if (turning_samples < 4) {
     return Status::InvalidArgument("turning_samples must be >= 4");
   }
-  QbicShapeSource src;
-  src.label_ = std::move(label);
-  src.sorted_.reserve(store->size());
+  // Scaled() and Translated() build polygons without Polygon::Create's
+  // check, so a non-finite target can reach here.
+  FUZZYDB_RETURN_NOT_OK(ValidateFinite(target.vertices()));
 
-  std::vector<double> target_turning;
+  // The target's half of each comparison is computed once per query: its
+  // centred, doubled turning function, or its Hu moments.
+  std::optional<TurningTarget> target_turning;
   HuMoments target_hu{};
   if (method == ShapeMethod::kTurningFunction) {
-    target_turning = TurningFunction(target, turning_samples);
+    target_turning.emplace(TurningFunction(target, turning_samples));
   } else if (method == ShapeMethod::kHuMoments) {
     target_hu = ComputeHuMoments(target);
   }
-  for (const ImageRecord& rec : store->images()) {
+  std::vector<double> grades(store->size());
+  for (size_t i = 0; i < store->size(); ++i) {
+    const Polygon& shape = store->image(i).shape;
     double d = 0.0;
     switch (method) {
       case ShapeMethod::kTurningFunction:
-        d = TurningDistance(TurningFunction(rec.shape, turning_samples),
-                            target_turning);
+        d = target_turning->DistanceFrom(
+            TurningFunction(shape, turning_samples));
         break;
       case ShapeMethod::kHuMoments:
-        d = HuMomentDistance(ComputeHuMoments(rec.shape), target_hu);
+        d = HuMomentDistance(ComputeHuMoments(shape), target_hu);
         break;
       case ShapeMethod::kHausdorff:
-        d = HausdorffShapeDistance(rec.shape, target, turning_samples);
+        d = HausdorffShapeDistance(shape, target, turning_samples);
         break;
     }
-    double grade = ShapeGradeFromDistance(d);
-    src.sorted_.push_back({rec.id, grade});
-    src.grades_.emplace(rec.id, grade);
+    // Finite but huge coordinates overflow the Hu moments to NaN, which
+    // would make the grade sort undefined.
+    if (std::isnan(d)) {
+      return Status::InvalidArgument("shape distance to the target is NaN");
+    }
+    grades[i] = ShapeGradeFromDistance(d);
   }
-  std::sort(src.sorted_.begin(), src.sorted_.end(), GradeDescending);
+  QbicShapeSource src;
+  src.Materialize(std::move(label), FirstId(*store), std::move(grades));
   return src;
-}
-
-std::optional<GradedObject> QbicShapeSource::NextSorted() {
-  if (cursor_ >= sorted_.size()) return std::nullopt;
-  return sorted_[cursor_++];
-}
-
-double QbicShapeSource::RandomAccess(ObjectId id) {
-  auto it = grades_.find(id);
-  return it == grades_.end() ? 0.0 : it->second;
-}
-
-std::vector<GradedObject> QbicShapeSource::AtLeast(double threshold) {
-  return AtLeastFromSorted(sorted_, threshold);
 }
 
 }  // namespace fuzzydb

@@ -7,18 +7,16 @@
 #define FUZZYDB_IMAGE_QBIC_SOURCE_H_
 
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "image/bounding.h"
 #include "image/image_store.h"
-#include "middleware/source.h"
+#include "middleware/materialized_source.h"
 
 namespace fuzzydb {
 
 /// Color-similarity source: grade(x) = 1 - d(x, target)/d_max under the
 /// quadratic-form distance of the store's palette.
-class QbicColorSource final : public GradedSource {
+class QbicColorSource final : public MaterializedSource {
  public:
   /// `store` must outlive the source. Grades for all images are computed at
   /// construction (the subsystem's own query evaluation); middleware access
@@ -28,42 +26,20 @@ class QbicColorSource final : public GradedSource {
                                         Histogram target,
                                         std::string label = "Color");
 
-  size_t Size() const override { return sorted_.size(); }
-  std::optional<GradedObject> NextSorted() override;
-  void RestartSorted() override { cursor_ = 0; }
-  double RandomAccess(ObjectId id) override;
-  std::vector<GradedObject> AtLeast(double threshold) override;
-  std::string name() const override { return label_; }
-
  private:
   QbicColorSource() = default;
-  std::vector<GradedObject> sorted_;
-  std::unordered_map<ObjectId, double> grades_;
-  size_t cursor_ = 0;
-  std::string label_;
 };
 
 /// Texture-similarity source: grade(x) = 1 / (1 + feature-space distance to
 /// the target texture).
-class QbicTextureSource final : public GradedSource {
+class QbicTextureSource final : public MaterializedSource {
  public:
   static Result<QbicTextureSource> Create(const ImageStore* store,
                                           const TextureFeatures& target,
                                           std::string label = "Texture");
 
-  size_t Size() const override { return sorted_.size(); }
-  std::optional<GradedObject> NextSorted() override;
-  void RestartSorted() override { cursor_ = 0; }
-  double RandomAccess(ObjectId id) override;
-  std::vector<GradedObject> AtLeast(double threshold) override;
-  std::string name() const override { return label_; }
-
  private:
   QbicTextureSource() = default;
-  std::vector<GradedObject> sorted_;
-  std::unordered_map<ObjectId, double> grades_;
-  size_t cursor_ = 0;
-  std::string label_;
 };
 
 /// Which of the paper's cited shape-closeness methods (§2) the shape
@@ -76,26 +52,15 @@ enum class ShapeMethod {
 
 /// Shape-similarity source: grade(x) = 1 / (1 + shape distance to the
 /// target shape) under the chosen method.
-class QbicShapeSource final : public GradedSource {
+class QbicShapeSource final : public MaterializedSource {
  public:
   static Result<QbicShapeSource> Create(
       const ImageStore* store, const Polygon& target,
       std::string label = "Shape", size_t turning_samples = 64,
       ShapeMethod method = ShapeMethod::kTurningFunction);
 
-  size_t Size() const override { return sorted_.size(); }
-  std::optional<GradedObject> NextSorted() override;
-  void RestartSorted() override { cursor_ = 0; }
-  double RandomAccess(ObjectId id) override;
-  std::vector<GradedObject> AtLeast(double threshold) override;
-  std::string name() const override { return label_; }
-
  private:
   QbicShapeSource() = default;
-  std::vector<GradedObject> sorted_;
-  std::unordered_map<ObjectId, double> grades_;
-  size_t cursor_ = 0;
-  std::string label_;
 };
 
 }  // namespace fuzzydb

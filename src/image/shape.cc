@@ -20,12 +20,31 @@ double SignedArea(const std::vector<Point2>& v) {
   return 0.5 * a;
 }
 
+// Subtracts the mean of `f` from every entry, the mean summed in index
+// order (the rotation normalization of TurningDistance).
+void Centre(std::vector<double>& f) {
+  double mean = 0.0;
+  for (double x : f) mean += x;
+  mean /= static_cast<double>(f.size());
+  for (double& x : f) x -= mean;
+}
+
 }  // namespace
+
+Status ValidateFinite(const std::vector<Point2>& vertices) {
+  for (const Point2& p : vertices) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+      return Status::InvalidArgument("polygon vertex is not finite");
+    }
+  }
+  return Status::OK();
+}
 
 Result<Polygon> Polygon::Create(std::vector<Point2> vertices) {
   if (vertices.size() < 3) {
     return Status::InvalidArgument("polygon needs >= 3 vertices");
   }
+  FUZZYDB_RETURN_NOT_OK(ValidateFinite(vertices));
   double area = SignedArea(vertices);
   if (std::fabs(area) < 1e-12) {
     return Status::InvalidArgument("degenerate polygon (zero area)");
@@ -203,21 +222,18 @@ std::vector<double> TurningFunction(const Polygon& polygon, size_t samples) {
   assert(samples >= 4);
   const std::vector<Point2>& v = polygon.vertices();
   const size_t n = v.size();
-  // Edge lengths and exterior angles at each vertex.
-  std::vector<double> len(n), turn(n);
+  // Length and direction of edge i (vertex i to i+1): one hypot and one
+  // atan2 per edge. The perimeter sums the lengths in PerimeterLength's
+  // order, so it is the same double.
+  std::vector<double> len(n), dir(n);
+  double total = 0.0;
   for (size_t i = 0; i < n; ++i) {
     const Point2& a = v[i];
     const Point2& b = v[(i + 1) % n];
-    const Point2& c = v[(i + 2) % n];
     len[i] = std::hypot(b.x - a.x, b.y - a.y);
-    double a1 = std::atan2(b.y - a.y, b.x - a.x);
-    double a2 = std::atan2(c.y - b.y, c.x - b.x);
-    double d = a2 - a1;
-    while (d > std::numbers::pi) d -= 2.0 * std::numbers::pi;
-    while (d < -std::numbers::pi) d += 2.0 * std::numbers::pi;
-    turn[(i + 1) % n] = d;  // turn taken *at* vertex i+1
+    dir[i] = std::atan2(b.y - a.y, b.x - a.x);
+    total += len[i];
   }
-  const double total = polygon.PerimeterLength();
 
   // Cumulative turning angle as a step function of normalized arc length.
   std::vector<double> out(samples);
@@ -231,7 +247,12 @@ std::vector<double> TurningFunction(const Polygon& polygon, size_t samples) {
     while (arc + edge_left < target && edge + 1 < n) {
       arc += edge_left;
       ++edge;
-      angle += turn[edge];  // we turn when entering the new edge
+      // We turn when entering the new edge: the exterior angle at its first
+      // vertex, wrapped into [-pi, pi].
+      double d = dir[edge] - dir[edge - 1];
+      while (d > std::numbers::pi) d -= 2.0 * std::numbers::pi;
+      while (d < -std::numbers::pi) d += 2.0 * std::numbers::pi;
+      angle += d;
       edge_left = len[edge];
     }
     out[j] = angle;
@@ -242,21 +263,28 @@ std::vector<double> TurningFunction(const Polygon& polygon, size_t samples) {
 double TurningDistance(const std::vector<double>& a,
                        const std::vector<double>& b) {
   assert(a.size() == b.size() && !a.empty());
-  const size_t n = a.size();
-  // Subtract means for rotation invariance.
-  double ma = 0.0, mb = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    ma += a[i];
-    mb += b[i];
-  }
-  ma /= static_cast<double>(n);
-  mb /= static_cast<double>(n);
+  return TurningTarget(b).DistanceFrom(a);
+}
 
+TurningTarget::TurningTarget(const std::vector<double>& turning) {
+  assert(!turning.empty());
+  const size_t n = turning.size();
+  twice_ = turning;
+  Centre(twice_);
+  twice_.resize(2 * n);
+  std::copy_n(twice_.begin(), n, twice_.begin() + n);
+}
+
+double TurningTarget::DistanceFrom(std::vector<double> a) const {
+  const size_t n = a.size();
+  assert(2 * n == twice_.size());
+  Centre(a);
   double best = std::numeric_limits<double>::infinity();
   for (size_t shift = 0; shift < n; ++shift) {
+    const double* b = twice_.data() + shift;  // b[i] = target[(i+shift) % n]
     double s = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      double d = (a[i] - ma) - (b[(i + shift) % n] - mb);
+    for (size_t i = 0; i < n && s < best; ++i) {
+      double d = a[i] - b[i];
       s += d * d;
     }
     best = std::min(best, s);

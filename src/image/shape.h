@@ -26,8 +26,9 @@ struct Point2 {
 /// A simple polygon given by its vertices in counter-clockwise order.
 class Polygon {
  public:
-  /// Validates >= 3 vertices and nonzero area; reverses the vertex order
-  /// when given clockwise so that stored polygons are always CCW.
+  /// Validates >= 3 vertices, finite coordinates and nonzero area; reverses
+  /// the vertex order when given clockwise so that stored polygons are
+  /// always CCW.
   static Result<Polygon> Create(std::vector<Point2> vertices);
 
   /// A regular n-gon of circumradius `radius` centred at `center`.
@@ -58,6 +59,11 @@ class Polygon {
   std::vector<Point2> vertices_;
 };
 
+/// InvalidArgument unless every coordinate is finite. Polygon::Create
+/// applies it; the transforms (Translated, Scaled, Rotated) do not, so a
+/// boundary that takes an already built Polygon checks it again.
+Status ValidateFinite(const std::vector<Point2>& vertices);
+
 /// Hu's seven moment invariants of a polygon's area.
 using HuMoments = std::array<double, 7>;
 
@@ -77,9 +83,26 @@ std::vector<double> TurningFunction(const Polygon& polygon,
 
 /// L2 distance between turning functions, minimized over all cyclic shifts
 /// of the starting point and with means subtracted (rotation invariance),
-/// per [ACH+90].
+/// per [ACH+90]. Equal to TurningTarget(b).DistanceFrom(a), bit for bit.
 double TurningDistance(const std::vector<double>& a,
                        const std::vector<double>& b);
+
+/// The second operand of TurningDistance, prepared once for many
+/// comparisons: centred, and laid out twice so that every cyclic shift reads
+/// one contiguous slice. A shift stops as soon as its partial sum of squares
+/// reaches the best full sum so far. That is exact: every term is >= 0 and
+/// rounded addition is monotone, so an abandoned shift could not have won.
+class TurningTarget {
+ public:
+  explicit TurningTarget(const std::vector<double>& turning);
+
+  /// TurningDistance(a, turning), bit for bit. Takes `a` by value to centre
+  /// it in place.
+  double DistanceFrom(std::vector<double> a) const;
+
+ private:
+  std::vector<double> twice_;  // centred target, then the same n again
+};
 
 /// Boundary points sampled at `samples` equally spaced arc-length positions
 /// (the discrete contour used by the Hausdorff comparison).

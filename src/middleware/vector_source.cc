@@ -1,44 +1,19 @@
 #include "middleware/vector_source.h"
 
-#include <algorithm>
-
 namespace fuzzydb {
 
 Result<VectorSource> VectorSource::Create(std::vector<GradedObject> items,
                                           std::string name) {
-  VectorSource src;
-  src.name_ = std::move(name);
-  src.grades_.reserve(items.size());
   for (const GradedObject& g : items) {
     if (!(g.grade >= 0.0 && g.grade <= 1.0)) {
       return Status::InvalidArgument("grade must be in [0,1]");
     }
-    if (!src.grades_.emplace(g.id, g.grade).second) {
-      return Status::AlreadyExists("duplicate object id in source");
-    }
   }
-  src.sorted_ = std::move(items);
-  std::sort(src.sorted_.begin(), src.sorted_.end(), GradeDescending);
+  VectorSource src;
+  if (!src.Materialize(std::move(name), std::move(items))) {
+    return Status::AlreadyExists("duplicate object id in source");
+  }
   return src;
-}
-
-std::optional<GradedObject> VectorSource::NextSorted() {
-  if (cursor_ >= sorted_.size()) return std::nullopt;
-  return sorted_[cursor_++];
-}
-
-double VectorSource::RandomAccess(ObjectId id) {
-  auto it = grades_.find(id);
-  return it == grades_.end() ? 0.0 : it->second;
-}
-
-std::vector<GradedObject> VectorSource::AtLeast(double threshold) {
-  // sorted_ is grade-descending, so the answer is the prefix before the
-  // partition point — binary search instead of a linear scan.
-  auto end = std::partition_point(
-      sorted_.begin(), sorted_.end(),
-      [threshold](const GradedObject& g) { return g.grade >= threshold; });
-  return {sorted_.begin(), end};
 }
 
 Result<std::vector<VectorSource>> MakeSources(

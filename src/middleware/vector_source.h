@@ -6,38 +6,23 @@
 #define FUZZYDB_MIDDLEWARE_VECTOR_SOURCE_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
-#include "middleware/source.h"
+#include "middleware/materialized_source.h"
 
 namespace fuzzydb {
 
 /// A graded source materialized from (id, grade) pairs.
-class VectorSource final : public GradedSource {
+class VectorSource final : public MaterializedSource {
  public:
   /// Validates grades in [0,1] and id uniqueness, then pre-sorts for
   /// sorted access.
   static Result<VectorSource> Create(std::vector<GradedObject> items,
                                      std::string name = "source");
 
-  size_t Size() const override { return sorted_.size(); }
-  std::optional<GradedObject> NextSorted() override;
-  void RestartSorted() override { cursor_ = 0; }
-  double RandomAccess(ObjectId id) override;
-  std::vector<GradedObject> AtLeast(double threshold) override;
-  std::string name() const override { return name_; }
-
-  /// The full graded list in sorted order (test/verification helper; not an
-  /// access mode and not charged).
-  const std::vector<GradedObject>& sorted_items() const { return sorted_; }
-
  private:
-  std::vector<GradedObject> sorted_;
-  std::unordered_map<ObjectId, double> grades_;
-  size_t cursor_ = 0;
-  std::string name_;
+  VectorSource() = default;
 };
 
 /// Builds one VectorSource per grade column: `columns[j][i]` is the grade of

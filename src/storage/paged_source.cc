@@ -1,7 +1,5 @@
 #include "storage/paged_source.h"
 
-#include <algorithm>
-
 #include "image/image_store.h"
 
 namespace fuzzydb {
@@ -21,53 +19,21 @@ Result<PagedColorSource> PagedColorSource::Create(
     return Status::InvalidArgument("ids size disagrees with store size");
   }
 
-  PagedColorSource src;
-  src.label_ = std::move(label);
   // One sequential paged pass over the rows (the only disk the source ever
   // costs), sharded across the shared pool like QbicColorSource's pass.
-  std::vector<double> distances(store->size());
-  FUZZYDB_RETURN_NOT_OK(store->BatchDistances(target_embedding, distances,
+  std::vector<double> grades(store->size());
+  FUZZYDB_RETURN_NOT_OK(store->BatchDistances(target_embedding, grades,
                                               ThreadPool::Shared()));
-  src.sorted_.reserve(store->size());
+  for (double& g : grades) g = GradeFromDistance(g, max_distance);
+  PagedColorSource src;
   if (ids.empty()) {
-    src.grades_by_row_.resize(store->size());
-    for (size_t i = 0; i < store->size(); ++i) {
-      const double grade = GradeFromDistance(distances[i], max_distance);
-      src.grades_by_row_[i] = grade;
-      src.sorted_.push_back({static_cast<ObjectId>(i), grade});
-    }
+    src.Materialize(std::move(label), 0, std::move(grades));
   } else {
-    src.grades_.reserve(store->size());
-    for (size_t i = 0; i < store->size(); ++i) {
-      const double grade = GradeFromDistance(distances[i], max_distance);
-      src.sorted_.push_back({ids[i], grade});
-      src.grades_.emplace(ids[i], grade);
-    }
+    std::vector<GradedObject> items(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) items[i] = {ids[i], grades[i]};
+    src.Materialize(std::move(label), std::move(items));
   }
-  std::sort(src.sorted_.begin(), src.sorted_.end(), GradeDescending);
   return src;
-}
-
-std::optional<GradedObject> PagedColorSource::NextSorted() {
-  if (cursor_ >= sorted_.size()) return std::nullopt;
-  return sorted_[cursor_++];
-}
-
-double PagedColorSource::RandomAccess(ObjectId id) {
-  if (!grades_by_row_.empty()) {
-    return id < grades_by_row_.size() ? grades_by_row_[id] : 0.0;
-  }
-  auto it = grades_.find(id);
-  return it == grades_.end() ? 0.0 : it->second;
-}
-
-std::vector<GradedObject> PagedColorSource::AtLeast(double threshold) {
-  // Grade-descending list: the qualifying prefix ends at the partition
-  // point (same access shape as the QBIC sources).
-  auto end = std::partition_point(
-      sorted_.begin(), sorted_.end(),
-      [threshold](const GradedObject& g) { return g.grade >= threshold; });
-  return {sorted_.begin(), end};
 }
 
 }  // namespace storage

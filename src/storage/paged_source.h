@@ -19,11 +19,10 @@
 #define FUZZYDB_STORAGE_PAGED_SOURCE_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
-#include "middleware/source.h"
+#include "middleware/materialized_source.h"
 #include "storage/paged_store.h"
 
 namespace fuzzydb {
@@ -32,7 +31,7 @@ namespace storage {
 /// Color-similarity source backed by a PagedEmbeddingStore:
 /// grade(x) = 1 - d(x, target)/d_max, d the eigen-space (= quadratic-form)
 /// distance.
-class PagedColorSource final : public GradedSource {
+class PagedColorSource final : public MaterializedSource {
  public:
   /// Grades every row of `store` against `target_embedding` (a full-dim
   /// embedding from QuadraticFormDistance::Embed) in one sequential paged
@@ -47,23 +46,8 @@ class PagedColorSource final : public GradedSource {
                                          std::string label = "Color(paged)",
                                          std::vector<ObjectId> ids = {});
 
-  size_t Size() const override { return sorted_.size(); }
-  std::optional<GradedObject> NextSorted() override;
-  void RestartSorted() override { cursor_ = 0; }
-  double RandomAccess(ObjectId id) override;
-  std::vector<GradedObject> AtLeast(double threshold) override;
-  std::string name() const override { return label_; }
-
  private:
   PagedColorSource() = default;
-
-  std::vector<GradedObject> sorted_;
-  /// Identity-id mode: grade of object i at index i. Mapped mode: empty.
-  std::vector<double> grades_by_row_;
-  /// Mapped mode (explicit ids): the usual hash lookup.
-  std::unordered_map<ObjectId, double> grades_;
-  size_t cursor_ = 0;
-  std::string label_;
 };
 
 }  // namespace storage

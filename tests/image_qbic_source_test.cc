@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "middleware/fagin.h"
 #include "middleware/naive.h"
+#include "tests/shape_reference.h"
 
 namespace fuzzydb {
 namespace {
@@ -106,6 +111,40 @@ TEST_F(QbicSourceTest, ShapeMethodsProduceDistinctValidRankings) {
   EXPECT_NE(turning->NextSorted()->id, hausdorff->NextSorted()->id);
 }
 
+TEST_F(QbicSourceTest, ShapeSourceRejectsNonFiniteTargets) {
+  // Scaled and Translated skip Polygon::Create's check, so the source checks
+  // the target itself, under every method.
+  const Polygon square = *Polygon::Create({{0, 0}, {1, 0}, {1, 1}, {0, 1}});
+  const double inf = std::numeric_limits<double>::infinity();
+  const Polygon nan_target =
+      square.Scaled(std::numeric_limits<double>::quiet_NaN());
+  const Polygon pos_inf_target = square.Translated(inf, 0.0);
+  const Polygon neg_inf_target = square.Translated(0.0, -inf);
+  for (const Polygon* target : {&nan_target, &pos_inf_target,
+                                &neg_inf_target}) {
+    for (ShapeMethod method :
+         {ShapeMethod::kTurningFunction, ShapeMethod::kHuMoments,
+          ShapeMethod::kHausdorff}) {
+      Result<QbicShapeSource> src =
+          QbicShapeSource::Create(store_.get(), *target, "x", 64, method);
+      ASSERT_FALSE(src.ok());
+      EXPECT_EQ(src.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST_F(QbicSourceTest, ShapeSourceRejectsTargetsWhoseDistanceIsNaN) {
+  // Finite coordinates this large overflow the Hu moments to NaN. The
+  // turning function is scale-invariant and still grades the target.
+  const Polygon huge =
+      Polygon::Create({{0, 0}, {1, 0}, {1, 1}, {0, 1}})->Scaled(1e100);
+  Result<QbicShapeSource> hu = QbicShapeSource::Create(
+      store_.get(), huge, "x", 64, ShapeMethod::kHuMoments);
+  ASSERT_FALSE(hu.ok());
+  EXPECT_EQ(hu.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(QbicShapeSource::Create(store_.get(), huge).ok());
+}
+
 TEST_F(QbicSourceTest, ColorAndShapeConjunctionViaFagin) {
   // The paper's (Color='red') AND (Shape='round') example on real adapters.
   Histogram red = TargetHistogram(store_->palette(), {1.0, 0.1, 0.1});
@@ -123,6 +162,46 @@ TEST_F(QbicSourceTest, ColorAndShapeConjunctionViaFagin) {
   ASSERT_TRUE(top.ok());
   EXPECT_TRUE(IsValidTopK(top->items, *truth, 10));
   EXPECT_LT(top->cost.total(), 2u * 80u);  // beats streaming everything
+}
+
+TEST(QbicShapeGoldenTest, ThousandImageGradesEqualTheReference) {
+  // Every grade of a 1,000-image store, and the sorted order, equal the
+  // grades the pre-rewrite turning-function code gives, bit for bit.
+  ImageStoreOptions options;
+  options.num_images = 1000;
+  options.palette_size = 27;
+  options.seed = 11;
+  options.tune_cascade = false;
+  Result<ImageStore> store = ImageStore::Generate(options);
+  ASSERT_TRUE(store.ok());
+  Rng rng(61);
+  for (const Polygon& target :
+       {Polygon::Regular(6), Polygon::RandomStar(&rng, 9),
+        store->image(17).shape.Rotated(1.3)}) {
+    Result<QbicShapeSource> src = QbicShapeSource::Create(&*store, target);
+    ASSERT_TRUE(src.ok());
+    const std::vector<double> target_tf =
+        shape_reference::RefTurningFunction(target, 64);
+    std::vector<GradedObject> expected;
+    for (const ImageRecord& rec : store->images()) {
+      const double grade =
+          ShapeGradeFromDistance(shape_reference::RefTurningDistance(
+              shape_reference::RefTurningFunction(rec.shape, 64), target_tf));
+      ASSERT_TRUE(shape_reference::SameBits(src->RandomAccess(rec.id), grade))
+          << "image " << rec.id;
+      expected.push_back({rec.id, grade});
+    }
+    std::sort(expected.begin(), expected.end(), GradeDescending);
+    for (const GradedObject& want : expected) {
+      std::optional<GradedObject> got = src->NextSorted();
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->id, want.id);
+      EXPECT_TRUE(shape_reference::SameBits(got->grade, want.grade));
+    }
+    EXPECT_FALSE(src->NextSorted().has_value());
+    EXPECT_EQ(src->RandomAccess(0), 0.0);  // below first_id
+    EXPECT_EQ(src->RandomAccess(options.first_id + 1000), 0.0);
+  }
 }
 
 }  // namespace

@@ -3,10 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <vector>
+
+#include "tests/shape_reference.h"
 
 namespace fuzzydb {
 namespace {
+
+using shape_reference::RefTurningDistance;
+using shape_reference::RefTurningFunction;
+using shape_reference::SameBits;
 
 TEST(PolygonTest, CreateValidatesAndNormalizesOrientation) {
   EXPECT_FALSE(Polygon::Create({{0, 0}, {1, 0}}).ok());
@@ -15,6 +23,19 @@ TEST(PolygonTest, CreateValidatesAndNormalizesOrientation) {
   Result<Polygon> cw = Polygon::Create({{0, 0}, {0, 1}, {1, 1}, {1, 0}});
   ASSERT_TRUE(cw.ok());
   EXPECT_GT(cw->Area(), 0.0);
+}
+
+TEST(PolygonTest, CreateRejectsNonFiniteVertices) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Result<Polygon> x = Polygon::Create({{0, 0}, {bad, 0}, {1, 1}});
+    ASSERT_FALSE(x.ok()) << bad;
+    EXPECT_EQ(x.status().code(), StatusCode::kInvalidArgument);
+    Result<Polygon> y = Polygon::Create({{0, 0}, {1, 0}, {1, 1}, {0, bad}});
+    ASSERT_FALSE(y.ok()) << bad;
+    EXPECT_EQ(y.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(PolygonTest, SquareGeometry) {
@@ -129,6 +150,101 @@ TEST(TurningDistanceTest, DiscriminatesShapeFamilies) {
       TurningFunction(Polygon::Regular(3, 2.5).Rotated(1.0), 64);
   EXPECT_LT(TurningDistance(tri, tri2), 1e-9);
   EXPECT_GT(TurningDistance(tri, hex), 0.1);
+}
+
+// Goldens: the one-atan2-per-edge TurningFunction and the centred,
+// wrap-free, early-abandoning shift search equal the reference routines of
+// shape_reference.h bit for bit.
+
+TEST(TurningGoldenTest, RandomStarsMatchReferenceBitForBit) {
+  Rng rng(2027);
+  std::vector<Polygon> shapes;
+  for (size_t i = 0; i < 2000; ++i) {
+    shapes.push_back(Polygon::RandomStar(&rng, 3 + i % 10));
+  }
+  for (size_t samples : {4u, 5u, 64u, 101u}) {
+    std::vector<std::vector<double>> functions;
+    for (const Polygon& shape : shapes) {
+      std::vector<double> tf = TurningFunction(shape, samples);
+      ASSERT_TRUE(SameBits(tf, RefTurningFunction(shape, samples)))
+          << "samples " << samples << ", " << shape.size() << " vertices";
+      functions.push_back(std::move(tf));
+    }
+    const TurningTarget target(functions[0]);
+    for (size_t i = 1; i < functions.size(); ++i) {
+      const std::vector<double>& a = functions[i];
+      const std::vector<double>& b = functions[i - 1];
+      ASSERT_TRUE(
+          SameBits(TurningDistance(a, b), RefTurningDistance(a, b)))
+          << "samples " << samples << ", pair " << i;
+      ASSERT_TRUE(SameBits(target.DistanceFrom(a),
+                           RefTurningDistance(a, functions[0])))
+          << "samples " << samples << ", target vs " << i;
+    }
+  }
+}
+
+TEST(TurningGoldenTest, IdenticalShapesAbandonEveryLaterShift) {
+  // Shift 0 sums to exactly 0, so every later shift stops at its first term.
+  Rng rng(2029);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<double> tf =
+        TurningFunction(Polygon::RandomStar(&rng, 3 + trial % 10), 64);
+    EXPECT_TRUE(SameBits(TurningDistance(tf, tf), RefTurningDistance(tf, tf)));
+    EXPECT_TRUE(SameBits(TurningDistance(tf, tf), 0.0));
+  }
+}
+
+TEST(TurningGoldenTest, RotatedAndScaledCopiesMatchReference) {
+  Rng rng(2039);
+  for (int trial = 0; trial < 50; ++trial) {
+    Polygon shape = Polygon::RandomStar(&rng, 3 + trial % 10);
+    for (const Polygon& copy :
+         {shape.Rotated(0.3 * trial), shape.Scaled(0.5 + trial),
+          shape.Translated(trial, -trial)}) {
+      for (size_t samples : {5u, 64u}) {
+        std::vector<double> a = TurningFunction(shape, samples);
+        std::vector<double> b = TurningFunction(copy, samples);
+        ASSERT_TRUE(SameBits(b, RefTurningFunction(copy, samples)));
+        EXPECT_TRUE(
+            SameBits(TurningDistance(a, b), RefTurningDistance(a, b)));
+        EXPECT_TRUE(
+            SameBits(TurningDistance(b, a), RefTurningDistance(b, a)));
+      }
+    }
+  }
+}
+
+TEST(TurningGoldenTest, RegularPolygonsWithManyTiedShiftsMatchReference) {
+  for (size_t n = 3; n <= 24; ++n) {
+    const Polygon regular = Polygon::Regular(n, 1.0 + 0.1 * n);
+    for (size_t samples : {4u, 5u, 64u, 101u}) {
+      std::vector<double> tf = TurningFunction(regular, samples);
+      ASSERT_TRUE(SameBits(tf, RefTurningFunction(regular, samples)));
+      std::vector<double> other =
+          TurningFunction(Polygon::Regular(n + 1).Rotated(0.2), samples);
+      EXPECT_TRUE(SameBits(TurningDistance(tf, other),
+                           RefTurningDistance(tf, other)));
+      EXPECT_TRUE(
+          SameBits(TurningDistance(tf, tf), RefTurningDistance(tf, tf)));
+    }
+  }
+}
+
+TEST(TurningGoldenTest, RepeatedVertexMatchesReference) {
+  // A repeated vertex is a zero-length edge: atan2(0, 0) gives its
+  // direction, and it never holds a sample.
+  const Polygon repeated =
+      *Polygon::Create({{0, 0}, {2, 0}, {2, 0}, {2, 1}, {1, 2}, {0, 1}});
+  const Polygon plain =
+      *Polygon::Create({{0, 0}, {2, 0}, {2, 1}, {1, 2}, {0, 1}});
+  for (size_t samples : {4u, 5u, 64u, 101u}) {
+    std::vector<double> a = TurningFunction(repeated, samples);
+    std::vector<double> b = TurningFunction(plain, samples);
+    ASSERT_TRUE(SameBits(a, RefTurningFunction(repeated, samples)));
+    EXPECT_TRUE(SameBits(TurningDistance(a, b), RefTurningDistance(a, b)));
+    EXPECT_TRUE(SameBits(TurningDistance(b, a), RefTurningDistance(b, a)));
+  }
 }
 
 TEST(SampleBoundaryTest, PointsLieOnThePolygonBoundary) {
