@@ -132,6 +132,27 @@ void BM_ShapeDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_ShapeDistance)->Arg(0)->Arg(1)->Arg(2);
 
+// One query's turning-function grading of a 1,000-image store, the work a
+// served query naming Shape pays before the middleware reads a grade. Each
+// iteration grades against the next stored image's shape.
+void BM_TurningGrade(benchmark::State& state) {
+  ImageStoreOptions options;
+  options.num_images = 1000;
+  options.palette_size = 8;
+  options.seed = kSeed;
+  options.tune_cascade = false;
+  const ImageStore store =
+      CheckedValue(ImageStore::Generate(options), "store");
+  size_t q = 0;
+  for (auto _ : state) {
+    const Polygon& target = store.image(q++ % store.size()).shape;
+    QbicShapeSource src =
+        CheckedValue(QbicShapeSource::Create(&store, target), "turning");
+    benchmark::DoNotOptimize(src.Size());
+  }
+}
+BENCHMARK(BM_TurningGrade)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 }  // namespace fuzzydb
 

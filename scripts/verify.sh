@@ -22,8 +22,9 @@
 #   simd    Native-arch CHECKIN build; reruns the kernel-sensitive tests
 #           (simd dispatch, quantized tier, embedding, sharded kernels,
 #           R-tree driver source, analysis contracts, paged store and
-#           paged sources, and the shape/QBIC bit-identity goldens, which
-#           FMA would break without -ffp-contract=off) once per
+#           paged sources, the shape/QBIC bit-identity goldens, which
+#           FMA would break without -ffp-contract=off, and the end-to-end
+#           image pipeline integration test) once per
 #           FUZZYDB_SIMD level in {scalar,
 #           avx2, avx512}. The dispatcher clamps a forced level to what the
 #           host supports, so every leg runs everywhere and the widest ISA
@@ -100,7 +101,7 @@ case "${MODE}" in
       echo "== FUZZYDB_SIMD=${level} (clamped to host support) =="
       FUZZYDB_SIMD="${level}" ctest --test-dir build-simd \
         --output-on-failure -j "${JOBS}" \
-        -R 'simd|quantized|embedding|parallel_kernel|aligned_buffer|analysis|rtree|storage_paged|shape|qbic'
+        -R 'simd|quantized|embedding|parallel_kernel|aligned_buffer|analysis|rtree|storage_paged|shape|qbic|integration'
     done ;;
   server)
     cmake -B build-server -S . -DFUZZYDB_TSAN=ON

@@ -67,6 +67,10 @@ Status ValidateHistogram(const Histogram& h, double tol) {
   if (h.empty()) return Status::InvalidArgument("empty histogram");
   double sum = 0.0;
   for (double x : h) {
+    // NaN passes both comparisons below, so it is rejected here.
+    if (!std::isfinite(x)) {
+      return Status::InvalidArgument("histogram bin is not finite");
+    }
     if (x < -tol) return Status::InvalidArgument("negative histogram bin");
     sum += x;
   }

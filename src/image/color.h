@@ -44,7 +44,7 @@ class Palette {
 /// A normalized k-bin color histogram (entries >= 0 summing to 1).
 using Histogram = std::vector<double>;
 
-/// Validates non-negativity and unit mass.
+/// Validates finite bins, non-negativity and unit mass.
 Status ValidateHistogram(const Histogram& h, double tol = 1e-9);
 
 /// Renormalizes to unit mass; fails on negative entries or zero mass.

@@ -66,6 +66,7 @@ Result<ImageStore> ImageStore::Generate(const ImageStoreOptions& options) {
                         std::span<const double> embedding) {
         const size_t i = store.images_.size();
         store.images_.push_back(rec);
+        store.turning_table_.Add(rec.shape);
         std::span<double> dest = store.embeddings_.MutableRow(i);
         std::copy(embedding.begin(), embedding.end(), dest.begin());
         return Status::OK();
@@ -73,6 +74,7 @@ Result<ImageStore> ImageStore::Generate(const ImageStoreOptions& options) {
   if (!streamed.ok()) return streamed.status();
   store.palette_ = std::move(streamed->palette);
   store.qfd_ = std::move(streamed->qfd);
+  store.turning_table_.ShrinkToFit();
   // The int8 level −1 companion (DESIGN §3g), built once per collection so
   // the tuner below can measure whether the tier pays for itself here.
   store.embeddings_.BuildQuantized();

@@ -101,6 +101,11 @@ class ImageStore {
   /// cascaded color searches run over this buffer in O(bins) per pair.
   const EmbeddingStore& embeddings() const { return embeddings_; }
 
+  /// The centred turning functions of all image shapes at 64 samples, the
+  /// default of QbicShapeSource, built once at generation time (entry i is
+  /// image(i).shape's).
+  const TurningTable& turning_table() const { return turning_table_; }
+
   /// Color grade in [0,1] of histogram `x` against a target histogram:
   /// 1 - d(x, t) / MaxDistance().
   double ColorGrade(const Histogram& x, const Histogram& target) const;
@@ -121,6 +126,7 @@ class ImageStore {
   Palette palette_;
   QuadraticFormDistance qfd_;
   EmbeddingStore embeddings_;
+  TurningTable turning_table_{64};
   CascadeOptions tuned_cascade_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numbers>
 
@@ -18,15 +19,6 @@ double SignedArea(const std::vector<Point2>& v) {
     a += p.x * q.y - q.x * p.y;
   }
   return 0.5 * a;
-}
-
-// Subtracts the mean of `f` from every entry, the mean summed in index
-// order (the rotation normalization of TurningDistance).
-void Centre(std::vector<double>& f) {
-  double mean = 0.0;
-  for (double x : f) mean += x;
-  mean /= static_cast<double>(f.size());
-  for (double& x : f) x -= mean;
 }
 
 }  // namespace
@@ -260,6 +252,13 @@ std::vector<double> TurningFunction(const Polygon& polygon, size_t samples) {
   return out;
 }
 
+void Centre(std::vector<double>& f) {
+  double mean = 0.0;
+  for (double x : f) mean += x;
+  mean /= static_cast<double>(f.size());
+  for (double& x : f) x -= mean;
+}
+
 double TurningDistance(const std::vector<double>& a,
                        const std::vector<double>& b) {
   assert(a.size() == b.size() && !a.empty());
@@ -276,20 +275,86 @@ TurningTarget::TurningTarget(const std::vector<double>& turning) {
 }
 
 double TurningTarget::DistanceFrom(std::vector<double> a) const {
-  const size_t n = a.size();
-  assert(2 * n == twice_.size());
+  assert(a.size() == samples());
   Centre(a);
+  return DistanceFromCentred(a.data());
+}
+
+double TurningTarget::DistanceFromCentred(const double* a) const {
+  const size_t n = samples();
+  const size_t tail = std::min<size_t>(n, 4);
   double best = std::numeric_limits<double>::infinity();
-  for (size_t shift = 0; shift < n; ++shift) {
-    const double* b = twice_.data() + shift;  // b[i] = target[(i+shift) % n]
-    double s = 0.0;
-    for (size_t i = 0; i < n && s < best; ++i) {
-      double d = a[i] - b[i];
-      s += d * d;
+  for (size_t shift = 0; shift < n; shift += 2) {
+    // b0[i] = target[(i + shift) % n], b1[i] = target[(i + shift + 1) % n].
+    // An odd n pairs its last shift with itself.
+    const double* b0 = twice_.data() + shift;
+    const double* b1 = shift + 1 < n ? b0 + 1 : b0;
+    // The last terms of a shift s > 0 compare the end of `a` with the start
+    // of the target, nearly a whole turn apart, so they are the largest.
+    // Their sum in index order bounds the full sum from below.
+    double t0 = 0.0, t1 = 0.0;
+    for (size_t j = n - tail; j < n; ++j) {
+      const double d0 = a[j] - b0[j];
+      const double d1 = a[j] - b1[j];
+      t0 += d0 * d0;
+      t1 += d1 * d1;
     }
-    best = std::min(best, s);
+    if (t0 >= best && t1 >= best) continue;
+    double s0 = 0.0, s1 = 0.0;
+    size_t i = 0;
+    for (; i + 4 <= n && (s0 < best || s1 < best); i += 4) {
+      for (size_t j = i; j < i + 4; ++j) {
+        const double d0 = a[j] - b0[j];
+        const double d1 = a[j] - b1[j];
+        s0 += d0 * d0;
+        s1 += d1 * d1;
+      }
+    }
+    for (; i < n && (s0 < best || s1 < best); ++i) {
+      const double d0 = a[i] - b0[i];
+      const double d1 = a[i] - b1[i];
+      s0 += d0 * d0;
+      s1 += d1 * d1;
+    }
+    best = std::min(best, std::min(s0, s1));
   }
   return std::sqrt(best / static_cast<double>(n));
+}
+
+void TurningTable::Add(const Polygon& polygon) {
+  std::vector<double> f = TurningFunction(polygon, samples_);
+  Centre(f);
+  AddCentred(f);
+}
+
+void TurningTable::AddCentred(const std::vector<double>& centred) {
+  assert(centred.size() == samples_);
+  const size_t n = centred.size();
+  for (size_t j = 0; j < n;) {
+    // Equal bits, not ==, so that -0.0 and 0.0 stay distinct.
+    size_t end = j + 1;
+    while (end < n && end - j < std::numeric_limits<uint16_t>::max() &&
+           std::memcmp(&centred[end], &centred[j], sizeof(double)) == 0) {
+      ++end;
+    }
+    run_values_.push_back(centred[j]);
+    run_lengths_.push_back(static_cast<uint16_t>(end - j));
+    j = end;
+  }
+  first_run_.push_back(run_values_.size());
+}
+
+void TurningTable::ShrinkToFit() {
+  run_values_.shrink_to_fit();
+  run_lengths_.shrink_to_fit();
+  first_run_.shrink_to_fit();
+}
+
+void TurningTable::Expand(size_t i, double* out) const {
+  assert(i < size());
+  for (size_t r = first_run_[i]; r < first_run_[i + 1]; ++r) {
+    out = std::fill_n(out, run_lengths_[r], run_values_[r]);
+  }
 }
 
 std::vector<Point2> SampleBoundary(const Polygon& polygon, size_t samples) {

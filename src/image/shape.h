@@ -10,6 +10,7 @@
 #define FUZZYDB_IMAGE_SHAPE_H_
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "common/random.h"
@@ -81,6 +82,10 @@ double HuMomentDistance(const HuMoments& a, const HuMoments& b);
 std::vector<double> TurningFunction(const Polygon& polygon,
                                     size_t samples = 64);
 
+/// Subtracts the mean of `f` from every entry, the mean summed in index
+/// order: the rotation normalization of TurningDistance.
+void Centre(std::vector<double>& f);
+
 /// L2 distance between turning functions, minimized over all cyclic shifts
 /// of the starting point and with means subtracted (rotation invariance),
 /// per [ACH+90]. Equal to TurningTarget(b).DistanceFrom(a), bit for bit.
@@ -89,9 +94,7 @@ double TurningDistance(const std::vector<double>& a,
 
 /// The second operand of TurningDistance, prepared once for many
 /// comparisons: centred, and laid out twice so that every cyclic shift reads
-/// one contiguous slice. A shift stops as soon as its partial sum of squares
-/// reaches the best full sum so far. That is exact: every term is >= 0 and
-/// rounded addition is monotone, so an abandoned shift could not have won.
+/// one contiguous slice.
 class TurningTarget {
  public:
   explicit TurningTarget(const std::vector<double>& turning);
@@ -100,8 +103,54 @@ class TurningTarget {
   /// it in place.
   double DistanceFrom(std::vector<double> a) const;
 
+  /// The same distance from an already centred `a` of samples() values.
+  /// Shifts are searched two at a time, sharing the loads of `a`. A pair is
+  /// skipped when the sums of both shifts' last 4 terms reach the best full
+  /// sum so far, and otherwise stops once both partial sums reach it,
+  /// checked every 4 terms. That is exact: every term is >= 0 and rounded
+  /// addition is monotone, so the sum of any subsequence of a shift's
+  /// terms, in index order, is at most its full sum. A shift that is
+  /// skipped, stops, or runs on past `best` could not have won; each full
+  /// sum is accumulated term by term in index order, so it is the same
+  /// double as in a one-shift search; and the minimum does not depend on
+  /// the order of shifts.
+  double DistanceFromCentred(const double* a) const;
+
+  size_t samples() const { return twice_.size() / 2; }
+
  private:
   std::vector<double> twice_;  // centred target, then the same n again
+};
+
+/// The centred turning functions, Centre(TurningFunction(p, samples)), of
+/// many polygons at one sample count, stored as runs of bitwise-equal values
+/// in flat arrays: a turning function is a step function, so a polygon of v
+/// vertices needs about v runs instead of `samples` doubles.
+class TurningTable {
+ public:
+  explicit TurningTable(size_t samples) : samples_(samples) {}
+
+  /// Appends Centre(TurningFunction(polygon, samples())).
+  void Add(const Polygon& polygon);
+  /// Appends samples() already centred values as they are.
+  void AddCentred(const std::vector<double>& centred);
+  /// Releases the spare capacity of the arrays once the table is complete.
+  void ShrinkToFit();
+
+  /// Writes entry i's samples() values to `out`, bit for bit as added.
+  void Expand(size_t i, double* out) const;
+
+  size_t size() const { return first_run_.size() - 1; }
+  size_t samples() const { return samples_; }
+  size_t runs() const { return run_values_.size(); }
+
+ private:
+  size_t samples_;
+  std::vector<double> run_values_;
+  // Run lengths, 16 bits each: a run longer than 65,535 samples is stored as
+  // several.
+  std::vector<uint16_t> run_lengths_;
+  std::vector<size_t> first_run_ = {0};  // entry i owns [first_run_[i], [i+1])
 };
 
 /// Boundary points sampled at `samples` equally spaced arc-length positions

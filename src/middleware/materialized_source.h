@@ -28,10 +28,6 @@ class MaterializedSource : public GradedSource {
   std::vector<GradedObject> AtLeast(double threshold) override;
   std::string name() const override { return label_; }
 
-  /// The full graded list in sorted order (test/verification helper; not an
-  /// access mode and not charged).
-  const std::vector<GradedObject>& sorted_items() const { return sorted_; }
-
  protected:
   MaterializedSource() = default;
 

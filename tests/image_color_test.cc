@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 namespace fuzzydb {
@@ -50,6 +51,11 @@ TEST(HistogramTest, ValidateAndNormalize) {
   EXPECT_FALSE(ValidateHistogram({0.5, 0.4}).ok());  // mass 0.9
   EXPECT_FALSE(ValidateHistogram({1.5, -0.5}).ok());
   EXPECT_TRUE(ValidateHistogram({0.25, 0.75}).ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    Status status = ValidateHistogram({bad, 1.0});
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+  }
 
   Result<Histogram> norm = NormalizeHistogram({2.0, 6.0});
   ASSERT_TRUE(norm.ok());

@@ -53,6 +53,14 @@ TEST_F(QbicSourceTest, ColorSourceValidatesTarget) {
       QbicColorSource::Create(store_.get(), Histogram{0.5, 0.5}).ok());
   Histogram bad(27, 0.0);  // zero mass
   EXPECT_FALSE(QbicColorSource::Create(store_.get(), bad).ok());
+  // A NaN bin passes both the sign and the mass comparison, and NaN grades
+  // would make the grade sort undefined.
+  Histogram nan_bin(27, 0.0);
+  nan_bin[0] = 1.0;
+  nan_bin[5] = std::numeric_limits<double>::quiet_NaN();
+  Result<QbicColorSource> src = QbicColorSource::Create(store_.get(), nan_bin);
+  ASSERT_FALSE(src.ok());
+  EXPECT_EQ(src.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(QbicSourceTest, SelfQueryRanksTheQueryImageFirst) {
@@ -201,6 +209,39 @@ TEST(QbicShapeGoldenTest, ThousandImageGradesEqualTheReference) {
     EXPECT_FALSE(src->NextSorted().has_value());
     EXPECT_EQ(src->RandomAccess(0), 0.0);  // below first_id
     EXPECT_EQ(src->RandomAccess(options.first_id + 1000), 0.0);
+  }
+}
+
+TEST(QbicShapeGoldenTest, OtherSampleCountsMatchTheReference) {
+  // The store's table holds 64 samples, so these grade from a table built
+  // for the query.
+  ImageStoreOptions options;
+  options.num_images = 200;
+  options.palette_size = 27;
+  options.seed = 13;
+  options.tune_cascade = false;
+  Result<ImageStore> store = ImageStore::Generate(options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_EQ(store->turning_table().samples(), 64u);
+  Rng rng(67);
+  for (size_t samples : {48u, 65u}) {
+    for (const Polygon& target :
+         {Polygon::Regular(5), Polygon::RandomStar(&rng, 7)}) {
+      Result<QbicShapeSource> src =
+          QbicShapeSource::Create(&*store, target, "Shape", samples);
+      ASSERT_TRUE(src.ok());
+      const std::vector<double> target_tf =
+          shape_reference::RefTurningFunction(target, samples);
+      for (const ImageRecord& rec : store->images()) {
+        const double grade =
+            ShapeGradeFromDistance(shape_reference::RefTurningDistance(
+                shape_reference::RefTurningFunction(rec.shape, samples),
+                target_tf));
+        ASSERT_TRUE(
+            shape_reference::SameBits(src->RandomAccess(rec.id), grade))
+            << "samples " << samples << ", image " << rec.id;
+      }
+    }
   }
 }
 

@@ -247,6 +247,103 @@ TEST(TurningGoldenTest, RepeatedVertexMatchesReference) {
   }
 }
 
+// The paired shift search over a centred operand equals the reference at
+// sample counts that exercise a last shift paired with itself (odd n) and a
+// tail of terms after the 4-term blocks (n % 4 != 0).
+TEST(TurningGoldenTest, DistanceFromCentredMatchesReference) {
+  Rng rng(2053);
+  for (size_t n : {4u, 5u, 6u, 7u, 63u, 64u, 65u}) {
+    std::vector<Polygon> shapes;
+    for (size_t i = 0; i < 200; ++i) {
+      shapes.push_back(Polygon::RandomStar(&rng, 3 + i % 10));
+    }
+    for (size_t v = 3; v <= 12; ++v) {
+      shapes.push_back(Polygon::Regular(v, 1.0 + 0.1 * v));
+    }
+    for (size_t t = 0; t < shapes.size(); t += 23) {
+      const std::vector<double> b = TurningFunction(shapes[t], n);
+      const TurningTarget target(b);
+      for (const Polygon& shape : shapes) {
+        const std::vector<double> a = TurningFunction(shape, n);
+        std::vector<double> centred = a;
+        Centre(centred);
+        ASSERT_TRUE(SameBits(target.DistanceFromCentred(centred.data()),
+                             RefTurningDistance(a, b)))
+            << "n " << n << ", target " << t;
+      }
+    }
+    // A noisy copy of b rotated by r samples is closest at shift r, so
+    // every shift wins once: the first and second of a pair, and the last
+    // one of an odd n.
+    std::vector<double> b(n);
+    for (double& x : b) x = 6.0 * rng.NextDouble();
+    const TurningTarget target(b);
+    for (size_t r = 0; r < n; ++r) {
+      std::vector<double> a(n);
+      for (size_t i = 0; i < n; ++i) {
+        a[i] = b[(i + r) % n] + 1e-3 * rng.NextDouble();
+      }
+      std::vector<double> centred = a;
+      Centre(centred);
+      ASSERT_TRUE(SameBits(target.DistanceFromCentred(centred.data()),
+                           RefTurningDistance(a, b)))
+          << "n " << n << ", rotation " << r;
+    }
+  }
+}
+
+TEST(TurningTableTest, ExpandMatchesCentredTurningFunction) {
+  Rng rng(2063);
+  std::vector<Polygon> shapes;
+  for (size_t i = 0; i < 300; ++i) {
+    shapes.push_back(Polygon::RandomStar(&rng, 3 + i % 10));
+  }
+  for (size_t v = 3; v <= 24; ++v) shapes.push_back(Polygon::Regular(v));
+  // A zero-length edge never holds a sample.
+  shapes.push_back(
+      *Polygon::Create({{0, 0}, {2, 0}, {2, 0}, {2, 1}, {1, 2}, {0, 1}}));
+  for (size_t samples : {4u, 5u, 64u, 101u}) {
+    TurningTable table(samples);
+    for (const Polygon& shape : shapes) table.Add(shape);
+    ASSERT_EQ(table.size(), shapes.size());
+    EXPECT_EQ(table.samples(), samples);
+    std::vector<double> out(samples);
+    for (size_t i = 0; i < shapes.size(); ++i) {
+      std::vector<double> want = TurningFunction(shapes[i], samples);
+      Centre(want);
+      table.Expand(i, out.data());
+      ASSERT_TRUE(SameBits(out, want)) << "samples " << samples << ", " << i;
+    }
+    // A polygon of v vertices has at most v distinct turning values.
+    EXPECT_LE(table.runs(), 24 * shapes.size());
+  }
+}
+
+TEST(TurningTableTest, RunsSplitOnBitsAndLength) {
+  // -0.0 == 0.0, but a run holds one bit pattern, so they stay apart.
+  TurningTable table(6);
+  const std::vector<double> zeros = {0.0, -0.0, -0.0, 0.0, 0.0, 1.5};
+  table.AddCentred(zeros);
+  EXPECT_EQ(table.runs(), 4u);
+  std::vector<double> out(6);
+  table.Expand(0, out.data());
+  EXPECT_TRUE(SameBits(out, zeros));
+
+  // A run longer than 16 bits can count is stored as several.
+  const size_t long_n = 70000;
+  TurningTable long_table(long_n);
+  std::vector<double> flat(long_n, 0.25);
+  flat.back() = -0.25;
+  long_table.AddCentred(flat);
+  long_table.AddCentred(std::vector<double>(long_n, 0.5));
+  EXPECT_EQ(long_table.runs(), 5u);
+  std::vector<double> long_out(long_n);
+  long_table.Expand(0, long_out.data());
+  EXPECT_TRUE(SameBits(long_out, flat));
+  long_table.Expand(1, long_out.data());
+  EXPECT_TRUE(SameBits(long_out, std::vector<double>(long_n, 0.5)));
+}
+
 TEST(SampleBoundaryTest, PointsLieOnThePolygonBoundary) {
   Polygon sq = *Polygon::Create({{0, 0}, {2, 0}, {2, 2}, {0, 2}});
   std::vector<Point2> pts = SampleBoundary(sq, 40);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "image/precompute.h"
 
 namespace fuzzydb {
@@ -23,6 +26,22 @@ TEST(ImageStoreTest, GeneratesRequestedCollection) {
   for (const ImageRecord& rec : store->images()) {
     EXPECT_TRUE(ValidateHistogram(rec.histogram).ok());
     EXPECT_GT(rec.shape.Area(), 0.0);
+  }
+}
+
+TEST(ImageStoreTest, TurningTableHoldsEveryCentredShape) {
+  Result<ImageStore> store = ImageStore::Generate(SmallOptions());
+  ASSERT_TRUE(store.ok());
+  const TurningTable& table = store->turning_table();
+  ASSERT_EQ(table.size(), store->size());
+  ASSERT_EQ(table.samples(), 64u);
+  std::vector<double> out(64);
+  for (size_t i = 0; i < store->size(); ++i) {
+    std::vector<double> want = TurningFunction(store->image(i).shape, 64);
+    Centre(want);
+    table.Expand(i, out.data());
+    EXPECT_EQ(std::memcmp(out.data(), want.data(), 64 * sizeof(double)), 0)
+        << "image " << i;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numbers>
 
 #include "image/image_store.h"
@@ -134,6 +135,29 @@ TEST(QbicTextureSourceTest, GradesSortedAndConsistent) {
     prev = next->grade;
   }
   EXPECT_FALSE(QbicTextureSource::Create(nullptr, target).ok());
+}
+
+TEST(QbicTextureSourceTest, RejectsNonFiniteTargets) {
+  // A non-finite feature would give NaN grades, which make the grade sort
+  // undefined.
+  ImageStoreOptions options;
+  options.num_images = 20;
+  options.palette_size = 8;
+  Result<ImageStore> store = ImageStore::Generate(options);
+  ASSERT_TRUE(store.ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    for (int field = 0; field < 3; ++field) {
+      TextureFeatures target = store->image(3).texture;
+      double* slots[] = {&target.coarseness, &target.contrast,
+                         &target.directionality};
+      *slots[field] = bad;
+      Result<QbicTextureSource> src =
+          QbicTextureSource::Create(&*store, target);
+      ASSERT_FALSE(src.ok()) << bad << ", field " << field;
+      EXPECT_EQ(src.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(QbicTextureSourceTest, StoreGeneratesDiverseTextures) {
