@@ -31,6 +31,15 @@ inline void CheckOk(const Status& status, const char* what) {
   }
 }
 
+/// Aborts the bench loudly if a count that must be zero (mismatches
+/// against a reference answer) is not.
+inline void CheckZero(size_t count, const char* what) {
+  if (count != 0) {
+    std::cerr << what << ": " << count << " (expected 0)\n";
+    std::abort();
+  }
+}
+
 template <typename T>
 T CheckedValue(Result<T> result, const char* what) {
   if (!result.ok()) {

@@ -140,7 +140,6 @@ void BM_TurningGrade(benchmark::State& state) {
   options.num_images = 1000;
   options.palette_size = 8;
   options.seed = kSeed;
-  options.tune_cascade = false;
   const ImageStore store =
       CheckedValue(ImageStore::Generate(options), "store");
   size_t q = 0;

@@ -13,7 +13,6 @@
 #include "bench_util.h"
 #include "common/simd_dispatch.h"
 #include "image/bounding.h"
-#include "image/cascade_tuner.h"
 #include "image/embedding_store.h"
 
 namespace fuzzydb {
@@ -262,55 +261,6 @@ void PrintTables() {
                "speed. Sharded BatchDistances / ExactKnn / CascadeKnn are "
                "checked bit-identical against the serial kernels.\n";
 
-  // --- Tuned cascade: pick (prefix_dim, step) for *this* spectrum from a
-  // calibration sample, then re-run the query set with the tuned options.
-  Banner("E16c: cascade auto-tuning");
-  std::vector<std::vector<double>> calibration(
-      embedded.begin(), embedded.begin() + std::min<size_t>(8, embedded.size()));
-  CascadeTunerOptions tuner_options;
-  tuner_options.k = kK;
-  TunedCascade tuned = CascadeTuner::Tune(s.embeddings, s.qfd.eigenvalues(),
-                                          calibration, tuner_options);
-
-  CascadeStats tuned_stats;
-  size_t tuned_mismatches = 0;
-  t0 = now();
-  for (int q = 0; q < kQueries; ++q) {
-    auto got = s.embeddings.CascadeKnn(embedded[q], kK, tuned.options,
-                                       &tuned_stats);
-    for (size_t i = 0; i < kK; ++i) {
-      if (got[i].first != reference[q][i].first) ++tuned_mismatches;
-    }
-  }
-  t1 = now();
-  double us_tuned = MicrosPerQuery(t0, t1);
-  double default_cost =
-      CascadeTuner::Cost(cascade_stats, CascadeOptions{}.prefix_dim,
-                         s.embeddings.dim(), tuner_options.candidate_overhead,
-                         kQueries);
-  double tuned_cost = CascadeTuner::Cost(tuned_stats, tuned.options.prefix_dim,
-                                         s.embeddings.dim(),
-                                         tuner_options.candidate_overhead,
-                                         kQueries);
-  TablePrinter ttable({"config", "prefix", "step", "model-cost/query",
-                       "us/query", "mismatches"});
-  ttable.AddRow({"default", std::to_string(CascadeOptions{}.prefix_dim),
-                 std::to_string(CascadeOptions{}.step),
-                 TablePrinter::Num(default_cost, 4),
-                 TablePrinter::Num(us_cascade, 4),
-                 std::to_string(cascade_mismatches)});
-  ttable.AddRow({"tuned", std::to_string(tuned.options.prefix_dim),
-                 std::to_string(tuned.options.step),
-                 TablePrinter::Num(tuned_cost, 4),
-                 TablePrinter::Num(us_tuned, 4),
-                 std::to_string(tuned_mismatches)});
-  ttable.Print();
-  std::cout << "tuner sweep: " << tuned.sweep.size()
-            << " configurations on " << calibration.size()
-            << " calibration queries; the tuned config's modeled cost is "
-               "never worse than the default's on the calibration sample, "
-               "and answers are identical by construction.\n";
-
   // --- Quantized tier: the identical cascade with the int8 level -1 off vs
   // on. Answers are bit-identical by construction (the quantized bound is
   // admissible — DESIGN §3g); the contest is bytes read per level, counted
@@ -364,6 +314,15 @@ void PrintTables() {
             << TablePrinter::Num(bytes_reduction, 2)
             << "x reduction (must stay >= 3x); both variants return the "
                "reference answers bit-identically.\n";
+
+  // Every strategy above is exact, so any mismatch is a bug: fail loudly
+  // before a report is written.
+  size_t mismatches = exact_mismatches + filtered_mismatches +
+                      cascade_mismatches + float_mm + int8_mm;
+  for (const ThreadPoint& p : sweep) {
+    mismatches += p.bitwise_mismatches + p.knn_mismatches;
+  }
+  CheckZero(mismatches, "E16 mismatches against the reference answers");
 
   JsonReport json;
   json.Set("bench", std::string("exp16_embedding_cascade"));
@@ -436,16 +395,6 @@ void PrintTables() {
            per_query(int8_stats.buffer_pool_evictions));
   json.Set("float_scan.bytes_per_query", float_scan_bytes);
   json.Set("qcascade.bytes_reduction_vs_float_scan", bytes_reduction);
-  json.Set("tuned_cascade.prefix_dim", tuned.options.prefix_dim);
-  json.Set("tuned_cascade.step", tuned.options.step);
-  json.Set("tuned_cascade.use_quantized", tuned.options.use_quantized);
-  json.Set("tuned_cascade.shards", tuned.shards);
-  json.Set("tuned_cascade.model_cost_per_query", tuned_cost);
-  json.Set("tuned_cascade.default_model_cost_per_query", default_cost);
-  json.Set("tuned_cascade.us_per_query", us_tuned);
-  json.Set("tuned_cascade.speedup_vs_seed", us_seed / us_tuned);
-  json.Set("tuned_cascade.mismatches", tuned_mismatches);
-  json.Set("tuned_cascade.sweep_size", tuned.sweep.size());
   json.WriteFileGuarded("BENCH_embedding.json");
 }
 

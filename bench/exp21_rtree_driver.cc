@@ -160,10 +160,13 @@ void PrintTables() {
         r.tally->refinements += driver.stats().refinements;
       }
 
-      // The batch alternatives for the same atomic top-k.
+      // The batch alternatives for the same atomic top-k. The cascade's
+      // level-0 prefix is the tree's key dimensionality; the int8 level -1
+      // orders the walk.
       CascadeStats cstats;
-      index.embeddings().CascadeKnn(target_embedding, kK,
-                                    index.tuned_cascade(), &cstats);
+      index.embeddings().CascadeKnn(
+          target_embedding, kK, CascadeOptions{.prefix_dim = dim, .step = 4},
+          &cstats);
       cascade_bounds += cstats.bound_computations;
       cascade_full += cstats.full_distance_computations;
       FilteredSearchStats gstats;
@@ -216,6 +219,7 @@ void PrintTables() {
                "driver's refinement count tracks the consumed depth, not N; "
                "partial_refinements >= full_refinements in the JSON shows "
                "the pruned-candidate work the old stats dropped.\n";
+  CheckZero(total_mismatches, "E21 mismatches against the batch backend");
   json.WriteFileGuarded("BENCH_rtree.json");
 }
 

@@ -44,6 +44,8 @@ struct StorageAuditOptions {
 ///   - BatchDistances / ExactKnn / CascadeKnn: bitwise-equal outputs
 ///     (indices, order, and double bits) for every target, serial and at
 ///     every shard count in `options`, cascade with quantized on and off;
+///   - cascade work: the arithmetic CascadeStats counters equal the RAM
+///     store's run at the same shard count;
 ///   - paged-vs-paged determinism across shard counts.
 AuditReport AuditPagingEquivalence(const storage::PagedEmbeddingStore& paged,
                                    const EmbeddingStore& ram,

@@ -93,51 +93,38 @@ class EmbeddingStore {
   /// The batched exact kernel: out[i] = |Row(i) - target|_2 for every
   /// stored object. `target` must be a full-dimension embedding (from
   /// QuadraticFormDistance::Embed) and `out` must have size() entries.
-  /// One contiguous unit-stride pass over the buffer.
-  void BatchDistances(std::span<const double> target,
-                      std::span<double> out) const;
-
-  /// Sharded batch kernel: the rows are split into `shards` contiguous
-  /// ranges (default: one per pool executor) scanned concurrently on
-  /// `pool`, or serially when `pool` is null. Bit-identical to the serial
-  /// overload for every shard count — rows are independent.
+  /// Contiguous unit-stride passes over the buffer, split into `shards`
+  /// row ranges scanned concurrently on `pool` (default: one per pool
+  /// executor; one serial pass without a pool). Bit-identical at every
+  /// shard count — rows are independent.
   void BatchDistances(std::span<const double> target, std::span<double> out,
-                      ThreadPool* pool, size_t shards = 0) const;
+                      ThreadPool* pool = nullptr, size_t shards = 0) const;
 
   /// Exact top-k by the batched kernel: k smallest distances, ascending,
-  /// ties broken by index. O(n·k_dim) + selection.
+  /// ties broken by index. O(n·k_dim) + selection. Sharded like
+  /// BatchDistances: each shard selects its local k smallest (d^2, index)
+  /// pairs and the merge keeps the global k smallest (knn_internal::
+  /// ShardedKnn). Every row's d^2 comes from the same split-invariant
+  /// kernel and the selection key is the same, so the result is
+  /// bit-identical at any shard count, with or without a pool.
   std::vector<std::pair<size_t, double>> ExactKnn(
-      std::span<const double> target, size_t k) const;
-
-  /// Sharded exact top-k: each shard selects its local k smallest
-  /// (d^2, index) pairs and the merge keeps the global k smallest. Since
-  /// every row's d^2 is computed by the same split-invariant kernel and the
-  /// selection key is the same lexicographic (d^2, index) order, the result
-  /// is bit-identical to the serial ExactKnn at any shard count, with or
-  /// without a pool.
-  std::vector<std::pair<size_t, double>> ExactKnn(
-      std::span<const double> target, size_t k, ThreadPool* pool,
+      std::span<const double> target, size_t k, ThreadPool* pool = nullptr,
       size_t shards = 0) const;
 
   /// The cascaded filter search. Identical results to ExactKnn() — same
   /// indices, same order, bit-identical distances (the partial sums
   /// accumulate in the same order as the batched kernel) — but full-depth
   /// refinements only for objects that are genuinely competitive.
-  /// k = 0 returns an empty result; k > size() clamps.
+  /// k = 0 returns an empty result; k > size() clamps. Sharded, every
+  /// shard runs the full cascade on its own row range (local bounds, local
+  /// ordering, local top-k) before the merge: answers stay bit-identical at
+  /// any shard count, while `stats` (summed over shards in shard order,
+  /// deterministic) may report more refinement work than one shard does
+  /// because each shard prunes against its own local k-th best.
   std::vector<std::pair<size_t, double>> CascadeKnn(
       std::span<const double> target, size_t k,
-      const CascadeOptions& options = {}, CascadeStats* stats = nullptr) const;
-
-  /// Sharded cascade: every shard runs the full cascade on its own row
-  /// range (local bounds, local ordering, local top-k) and the merge keeps
-  /// the global k smallest (d^2, index) pairs. Answers are bit-identical to
-  /// the serial cascade — and therefore to ExactKnn — at any shard count;
-  /// `stats` (summed over shards, deterministic) may report more refinement
-  /// work than the serial run because each shard prunes against its own
-  /// local k-th best.
-  std::vector<std::pair<size_t, double>> CascadeKnn(
-      std::span<const double> target, size_t k, const CascadeOptions& options,
-      CascadeStats* stats, ThreadPool* pool, size_t shards = 0) const;
+      const CascadeOptions& options = {}, CascadeStats* stats = nullptr,
+      ThreadPool* pool = nullptr, size_t shards = 0) const;
 
   /// Doubles between row starts for a given dim: dim rounded up to a whole
   /// cache line. Public so the on-disk column format (src/storage) can

@@ -76,28 +76,8 @@ Result<ImageStore> ImageStore::Generate(const ImageStoreOptions& options) {
   store.qfd_ = std::move(streamed->qfd);
   store.turning_table_.ShrinkToFit();
   // The int8 level −1 companion (DESIGN §3g), built once per collection so
-  // the tuner below can measure whether the tier pays for itself here.
+  // every cascade over these rows can order its walk by the 1-byte codes.
   store.embeddings_.BuildQuantized();
-
-  // Tune the cascade for this palette's spectrum once per collection, on a
-  // small calibration sample of its own embeddings — tuning only changes
-  // costs, never answers, so this is safe to do unconditionally.
-  if (options.tune_cascade) {
-    const size_t sample = std::min<size_t>(store.images_.size(), 8);
-    std::vector<std::vector<double>> calibration;
-    calibration.reserve(sample);
-    for (size_t q = 0; q < sample; ++q) {
-      const size_t i = q * store.images_.size() / sample;
-      std::span<const double> row = store.embeddings_.Row(i);
-      calibration.emplace_back(row.begin(), row.end());
-    }
-    CascadeTunerOptions tuner;
-    tuner.step_grid = {8, 16, 32};
-    store.tuned_cascade_ =
-        CascadeTuner::Tune(store.embeddings_, store.qfd_.eigenvalues(),
-                           calibration, tuner)
-            .options;
-  }
   return store;
 }
 

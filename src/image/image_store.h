@@ -14,7 +14,6 @@
 
 #include "common/random.h"
 #include "core/graded_set.h"
-#include "image/cascade_tuner.h"
 #include "image/color.h"
 #include "image/embedding_store.h"
 #include "image/quadratic_distance.h"
@@ -52,9 +51,6 @@ struct ImageStoreOptions {
   size_t texture_patch_side = 32;
   uint64_t seed = 7;
   ObjectId first_id = 1;
-  /// Run the cascade tuner at generation time so tuned_cascade() reflects
-  /// this palette's spectrum. Tuning never changes answers, only costs.
-  bool tune_cascade = true;
 };
 
 /// The palette-level machinery of a streamed generation run: everything
@@ -114,12 +110,6 @@ class ImageStore {
   /// (e.g. from the embedding kernels).
   double ColorGradeFromDistance(double distance) const;
 
-  /// Cascade options the tuner picked for this palette's eigen spectrum at
-  /// Generate() time (defaults if tuning was disabled), including whether
-  /// the int8 quantized level −1 pays for itself on this spectrum. Passing
-  /// these to EmbeddingStore::CascadeKnn changes cost, never answers.
-  const CascadeOptions& tuned_cascade() const { return tuned_cascade_; }
-
  private:
   ImageStore() = default;
   std::vector<ImageRecord> images_;
@@ -127,7 +117,6 @@ class ImageStore {
   QuadraticFormDistance qfd_;
   EmbeddingStore embeddings_;
   TurningTable turning_table_{64};
-  CascadeOptions tuned_cascade_;
 };
 
 }  // namespace fuzzydb

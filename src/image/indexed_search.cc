@@ -8,6 +8,15 @@
 
 namespace fuzzydb {
 
+namespace {
+
+// Dimensions Knn refines between early-exit checks. A measured sweep over
+// {4, 8, 16, 32} chose 4 on every palette spectrum and summary
+// dimensionality the experiments run (DESIGN §3c).
+constexpr size_t kRefineStep = 4;
+
+}  // namespace
+
 Result<GeminiIndex> GeminiIndex::Build(
     const QuadraticFormDistance* qfd, EigenFilter filter,
     const std::vector<Histogram>* database) {
@@ -51,23 +60,6 @@ Result<GeminiIndex> GeminiIndex::Build(
   FUZZYDB_RETURN_NOT_OK(
       index.rtree_->BulkLoadStr(std::move(ids), std::move(coords)));
 
-  // Tune the refinement step for this palette's spectrum on a small
-  // calibration sample of the database's own embeddings. The prefix is
-  // pinned to the summary dimension: the R-tree already paid for it.
-  CascadeTunerOptions tuner;
-  tuner.prefix_grid = {dim};
-  tuner.step_grid = {4, 8, 16, 32};
-  const size_t sample = std::min<size_t>(database->size(), 8);
-  std::vector<std::vector<double>> calibration;
-  calibration.reserve(sample);
-  for (size_t q = 0; q < sample; ++q) {
-    const size_t i = q * database->size() / sample;
-    std::span<const double> row = index.embeddings_.Row(i);
-    calibration.emplace_back(row.begin(), row.end());
-  }
-  index.tuned_ = CascadeTuner::Tune(index.embeddings_, qfd->eigenvalues(),
-                                    calibration, tuner)
-                     .options;
   return index;
 }
 
@@ -91,7 +83,6 @@ Result<std::vector<std::pair<size_t, double>>> GeminiIndex::Knn(
   size_t full_refinements = 0;
   size_t partial_refinements = 0;
   const size_t dim = embeddings_.dim();
-  const size_t step = std::max<size_t>(tuned_.step, 1);
   auto worst_it = [&best]() {
     return std::max_element(best.begin(), best.end(),
                             [](const auto& a, const auto& b) {
@@ -102,10 +93,9 @@ Result<std::vector<std::pair<size_t, double>>> GeminiIndex::Knn(
     double bound = cand->distance / scale_;  // back to summary units
     if (best.size() >= k && bound >= kth) break;  // d >= d̂ >= kth: done
     size_t idx = static_cast<size_t>(cand->id);
-    // Refine through the split-invariant kernel, `step` dimensions at a
-    // time (the tuner's pick for this spectrum), abandoning the candidate
-    // as soon as its partial sum — a lower bound on d^2 at every depth —
-    // exceeds the current k-th best. A pruned candidate would have been
+    // Refine through the split-invariant kernel, kRefineStep dimensions at
+    // a time, abandoning the candidate as soon as its partial sum — a lower
+    // bound on d^2 at every depth — exceeds the current k-th best. A pruned candidate would have been
     // rejected by the full comparison too, so results are unchanged.
     const double* row = embeddings_.Row(idx).data();
     ++partial_refinements;  // pruned or not, this candidate costs work
@@ -113,7 +103,7 @@ Result<std::vector<std::pair<size_t, double>>> GeminiIndex::Knn(
     size_t j = 0;
     bool pruned = false;
     while (j < dim && !pruned) {
-      const size_t next_depth = std::min(dim, j + step);
+      const size_t next_depth = std::min(dim, j + kRefineStep);
       acc.Accumulate(row, target_embedding.data(), j, next_depth);
       j = next_depth;
       if (j < dim && best.size() >= k && acc.Total() > kth2) pruned = true;

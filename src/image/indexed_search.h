@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "image/bounding.h"
-#include "image/cascade_tuner.h"
 #include "image/embedding_store.h"
 #include "index/rtree.h"
 
@@ -55,11 +54,6 @@ class GeminiIndex {
   double scale() const { return scale_; }
   double offset() const { return offset_; }
 
-  /// The refinement options the tuner picked for this palette spectrum at
-  /// Build() time (prefix fixed to the index's summary dimension; the step
-  /// drives the early-exit granularity of Knn refinement).
-  const CascadeOptions& tuned_cascade() const { return tuned_; }
-
  private:
   GeminiIndex() = default;
 
@@ -75,8 +69,6 @@ class GeminiIndex {
   // Uniform affine map: unit = (summary + offset_) * scale_.
   double scale_ = 1.0;
   double offset_ = 0.0;
-  // Spectrum-tuned refinement options (see tuned_cascade()).
-  CascadeOptions tuned_;
 };
 
 }  // namespace fuzzydb

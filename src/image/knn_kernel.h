@@ -1,19 +1,23 @@
-// The shared kNN / cascade kernels, templated over row access (DESIGN §3k).
+// The shared kNN / cascade kernels and their sharded driver, templated over
+// row access (DESIGN §3c, §3k).
 //
 // EmbeddingStore (RAM-resident rows) and storage::PagedEmbeddingStore
 // (disk-resident rows behind a buffer pool) must return *bit-identical*
 // answers: the paged store is a memory-hierarchy change, never a semantic
 // one. The only robust way to guarantee that is for both stores to execute
-// literally the same arithmetic in literally the same order — so the exact
-// top-k selection and the multi-level cascade live here as templates over a
-// RowAccessor, and each store supplies only the row-fetching policy:
+// literally the same code in literally the same order — so the exact top-k
+// selection, the multi-level cascade, and the driver that shards, merges
+// and counts them live here as templates over a RowAccessor, and each store
+// supplies only the row-fetching policy:
 //
 //   struct RowAccessor {
 //     // Pointer to row i's doubles (valid until the next Acquire on this
 //     // accessor), or nullptr when the row cannot be read (I/O failure) —
-//     // the kernel then abandons the shard and the caller surfaces the
-//     // accessor's Status. A RAM-resident store never fails.
+//     // the kernel then abandons the shard and the driver surfaces the
+//     // accessor's status(). A RAM-resident store never fails.
 //     const double* Acquire(size_t i);
+//     // Why Acquire returned nullptr; OK until it does.
+//     Status status() const;
 //   };
 //
 // Everything numeric — the split-invariant SquaredDistanceAccumulator, the
@@ -31,7 +35,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -39,6 +42,7 @@
 
 #include "common/contract.h"
 #include "common/squared_distance.h"
+#include "common/status.h"
 #include "common/thread_pool.h"
 #include "image/quantized_store.h"
 
@@ -136,19 +140,38 @@ inline std::vector<std::pair<size_t, double>> ToOutput(
   return out;
 }
 
-// Runs fn(shard_index) for every shard, on the pool when given.
-inline void RunShards(ThreadPool* pool, size_t shards,
-                      const std::function<void(size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->ParallelFor(shards, fn);
-  } else {
-    for (size_t s = 0; s < shards; ++s) fn(s);
-  }
+// The contiguous row ranges a query over n rows runs on: `shards` of them,
+// or one per pool executor when 0, or one when 0 and there is no pool;
+// never more than n (and at least one, possibly empty).
+inline std::vector<ShardRange> ResolveShards(size_t n, ThreadPool* pool,
+                                             size_t shards) {
+  if (shards == 0) shards = pool != nullptr ? pool->executors() : 1;
+  return MakeShards(
+      n, std::max<size_t>(1, std::min(shards, std::max<size_t>(n, 1))));
 }
 
-inline size_t ResolveShards(size_t shards, ThreadPool* pool, size_t n) {
-  if (shards == 0) shards = pool != nullptr ? pool->executors() : 1;
-  return std::max<size_t>(1, std::min(shards, std::max<size_t>(n, 1)));
+// The fan-out every sharded query shares: runs fn(rows, s) for every shard
+// s — on `pool` when given, else serially in shard order — each with its
+// own accessor from make_rows(), destroyed when its shard ends. fn returns
+// false iff the accessor failed; the result is then the status of the
+// first failing shard in shard order, deterministic unlike first-to-fail.
+template <typename MakeRows, typename ShardFn>
+Status ForEachShard(ThreadPool* pool, size_t shards, const MakeRows& make_rows,
+                    const ShardFn& fn) {
+  std::vector<Status> errors(shards);
+  auto run = [&](size_t s) {
+    auto rows = make_rows();
+    if (!fn(rows, s)) errors[s] = rows.status();
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(shards, run);
+  } else {
+    for (size_t s = 0; s < shards; ++s) run(s);
+  }
+  for (Status& error : errors) {
+    if (!error.ok()) return std::move(error);
+  }
+  return Status::OK();
 }
 
 // Offers (d, i) to `heap`, a max-heap (std::push_heap order) holding the
@@ -353,6 +376,51 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
       }
     }
   }
+}
+
+// The one kNN driver both stores run every top-k query through: splits
+// rows [0, n) into shards (see ResolveShards), runs
+// kernel(rows, range, &best, &stats) on each — ExactKnnShard or
+// CascadeShard, filling the shard's local k best (d^2, index) pairs — and
+// keeps the global k smallest, ascending by (distance, index). The global k
+// smallest pairs are contained in the union of the shard-local ones, and
+// every path selects on the same lexicographic key, so answers are
+// bit-identical at any shard count, with or without a pool. Each shard's
+// counters are added to `stats` (when non-null) in shard order, so totals
+// are deterministic in (n, shards) and independent of scheduling. A failing
+// shard's status is returned (see ForEachShard) and no partial answer
+// escapes. k = 0 or n = 0 answers empty; k > n clamps.
+template <typename MakeRows, typename ShardKernel>
+Result<std::vector<std::pair<size_t, double>>> ShardedKnn(
+    size_t n, size_t k, ThreadPool* pool, size_t shards,
+    const MakeRows& make_rows, const ShardKernel& kernel,
+    CascadeStats* stats) {
+  if (k == 0 || n == 0) return std::vector<std::pair<size_t, double>>{};
+  k = std::min(k, n);
+  const std::vector<ShardRange> ranges = ResolveShards(n, pool, shards);
+  struct Local {
+    std::vector<std::pair<double, size_t>> best;
+    CascadeStats stats;
+  };
+  std::vector<Local> local(ranges.size());
+  FUZZYDB_RETURN_NOT_OK(ForEachShard(
+      pool, ranges.size(), make_rows, [&](auto& rows, size_t s) {
+        return kernel(rows, ranges[s], &local[s].best, &local[s].stats);
+      }));
+
+  // Shard 0's buffer becomes the merge buffer, so one shard copies nothing.
+  size_t total = 0;
+  for (const Local& mine : local) total += mine.best.size();
+  std::vector<std::pair<double, size_t>> merged = std::move(local[0].best);
+  merged.reserve(total);
+  for (size_t s = 1; s < local.size(); ++s) {
+    merged.insert(merged.end(), local[s].best.begin(), local[s].best.end());
+  }
+  KeepKSmallest(&merged, k);
+  if (stats != nullptr) {
+    for (const Local& mine : local) stats->Absorb(mine.stats);
+  }
+  return ToOutput(std::move(merged));
 }
 
 }  // namespace knn_internal

@@ -6,8 +6,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "image/knn_kernel.h"
-
 namespace fuzzydb {
 
 namespace {
@@ -187,19 +185,8 @@ void QuantizedStore::LowerBounds2Range(const EncodedQuery& query,
 
 void QuantizedStore::BatchLowerBounds2(const EncodedQuery& query,
                                        std::span<double> out) const {
-  BatchLowerBounds2(query, out, /*pool=*/nullptr, /*shards=*/1);
-}
-
-void QuantizedStore::BatchLowerBounds2(const EncodedQuery& query,
-                                       std::span<double> out, ThreadPool* pool,
-                                       size_t shards) const {
   assert(out.size() == size_);
-  const std::vector<ShardRange> ranges =
-      MakeShards(size_, knn_internal::ResolveShards(shards, pool, size_));
-  knn_internal::RunShards(pool, ranges.size(), [&](size_t s) {
-    LowerBounds2Range(query, ranges[s].begin,
-                      out.subspan(ranges[s].begin, ranges[s].size()));
-  });
+  LowerBounds2Range(query, 0, out);
 }
 
 }  // namespace fuzzydb

@@ -46,7 +46,6 @@
 
 #include "common/aligned_buffer.h"
 #include "common/simd_dispatch.h"
-#include "common/thread_pool.h"
 
 namespace fuzzydb {
 
@@ -144,13 +143,6 @@ class QuantizedStore {
   /// contiguous pass over the int8 buffer.
   void BatchLowerBounds2(const EncodedQuery& query,
                          std::span<double> out) const;
-
-  /// Sharded batch scan on `pool` (contiguous row ranges, one per executor
-  /// by default). Bit-identical to the serial overload at any shard count:
-  /// rows are independent and each row's bound is computed by the same
-  /// exact-integer kernel plus the same fixed-order float recombination.
-  void BatchLowerBounds2(const EncodedQuery& query, std::span<double> out,
-                         ThreadPool* pool, size_t shards = 0) const;
 
  private:
   size_t size_ = 0;

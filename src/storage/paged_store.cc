@@ -1,10 +1,9 @@
 #include "storage/paged_store.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstring>
-#include <limits>
+#include <string>
 
 #include "common/squared_distance.h"
 
@@ -12,11 +11,6 @@ namespace fuzzydb {
 namespace storage {
 
 namespace {
-
-using knn_internal::KeepKSmallest;
-using knn_internal::ResolveShards;
-using knn_internal::RunShards;
-using knn_internal::ToOutput;
 
 constexpr uint64_t kNoPage = ~uint64_t{0};
 
@@ -63,10 +57,21 @@ class PagedRows {
   Status status_;
 };
 
-// First non-OK status in shard order — deterministic, unlike first-to-fail.
-Status FirstError(const std::vector<Status>& per_shard) {
-  for (const Status& s : per_shard) {
-    if (!s.ok()) return s;
+// The query boundary: a target must hold dim() finite doubles. A wrong
+// size would read past the span, and a NaN distance breaks the strict weak
+// order the top-k heaps need.
+Status CheckTarget(std::span<const double> target, size_t dim) {
+  if (target.size() != dim) {
+    return Status::InvalidArgument("target has " +
+                                   std::to_string(target.size()) +
+                                   " entries, store dim is " +
+                                   std::to_string(dim));
+  }
+  for (size_t j = 0; j < dim; ++j) {
+    if (!std::isfinite(target[j])) {
+      return Status::InvalidArgument("target entry " + std::to_string(j) +
+                                     " is not finite");
+    }
   }
   return Status::OK();
 }
@@ -109,7 +114,7 @@ void PagedEmbeddingStore::Close() {
 
 Result<double> PagedEmbeddingStore::Distance(std::span<const double> target,
                                              size_t i) const {
-  assert(target.size() == dim());
+  FUZZYDB_RETURN_NOT_OK(CheckTarget(target, dim()));
   if (i >= size()) return Status::OutOfRange("row index past store size");
   PagedRows rows(*file_, *pool_, /*readahead=*/0);
   const double* row = rows.Acquire(i);
@@ -118,120 +123,77 @@ Result<double> PagedEmbeddingStore::Distance(std::span<const double> target,
 }
 
 Status PagedEmbeddingStore::BatchDistances(std::span<const double> target,
-                                           std::span<double> out) const {
-  return BatchDistances(target, out, /*pool=*/nullptr, /*shards=*/1);
-}
-
-Status PagedEmbeddingStore::BatchDistances(std::span<const double> target,
                                            std::span<double> out,
                                            ThreadPool* pool,
                                            size_t shards) const {
-  assert(target.size() == dim() && out.size() == size());
+  FUZZYDB_RETURN_NOT_OK(CheckTarget(target, dim()));
+  if (out.size() != size()) {
+    return Status::InvalidArgument("out has " + std::to_string(out.size()) +
+                                   " entries, store size is " +
+                                   std::to_string(size()));
+  }
   const double* FUZZYDB_RESTRICT t = target.data();
   const size_t d = dim();
   const std::vector<ShardRange> ranges =
-      MakeShards(size(), ResolveShards(shards, pool, size()));
-  std::vector<Status> errors(ranges.size());
-  RunShards(pool, ranges.size(), [&](size_t s) {
-    PagedRows rows(*file_, *pool_, options_.readahead_pages);
-    for (size_t i = ranges[s].begin; i < ranges[s].end; ++i) {
-      const double* FUZZYDB_RESTRICT row = rows.Acquire(i);
-      if (row == nullptr) {
-        errors[s] = rows.status();
-        return;
-      }
-      out[i] = std::sqrt(SquaredDistance(row, t, d));
-    }
-  });
-  return FirstError(errors);
-}
-
-Result<std::vector<std::pair<size_t, double>>> PagedEmbeddingStore::ExactKnn(
-    std::span<const double> target, size_t k) const {
-  return ExactKnn(target, k, /*pool=*/nullptr, /*shards=*/1);
+      knn_internal::ResolveShards(size(), pool, shards);
+  return knn_internal::ForEachShard(
+      pool, ranges.size(),
+      [this] { return PagedRows(*file_, *pool_, options_.readahead_pages); },
+      [&](PagedRows& rows, size_t s) {
+        for (size_t i = ranges[s].begin; i < ranges[s].end; ++i) {
+          const double* FUZZYDB_RESTRICT row = rows.Acquire(i);
+          if (row == nullptr) return false;
+          out[i] = std::sqrt(SquaredDistance(row, t, d));
+        }
+        return true;
+      });
 }
 
 Result<std::vector<std::pair<size_t, double>>> PagedEmbeddingStore::ExactKnn(
     std::span<const double> target, size_t k, ThreadPool* pool,
     size_t shards) const {
-  if (k == 0 || size() == 0) return std::vector<std::pair<size_t, double>>{};
-  k = std::min(k, size());
-  assert(target.size() == dim());
-
-  const std::vector<ShardRange> ranges =
-      MakeShards(size(), ResolveShards(shards, pool, size()));
-  std::vector<std::vector<std::pair<double, size_t>>> local(ranges.size());
-  std::vector<Status> errors(ranges.size());
-  RunShards(pool, ranges.size(), [&](size_t s) {
-    PagedRows rows(*file_, *pool_, options_.readahead_pages);
-    if (!knn_internal::ExactKnnShard(rows, target.data(), dim(), k, ranges[s],
-                                     &local[s])) {
-      errors[s] = rows.status();
-    }
-  });
-  FUZZYDB_RETURN_NOT_OK(FirstError(errors));
-
-  std::vector<std::pair<double, size_t>> merged;
-  merged.reserve(ranges.size() * k);
-  for (const auto& mine : local) {
-    merged.insert(merged.end(), mine.begin(), mine.end());
-  }
-  KeepKSmallest(&merged, k);
-  return ToOutput(std::move(merged));
-}
-
-Result<std::vector<std::pair<size_t, double>>> PagedEmbeddingStore::CascadeKnn(
-    std::span<const double> target, size_t k, const CascadeOptions& options,
-    CascadeStats* stats) const {
-  return CascadeKnn(target, k, options, stats, /*pool=*/nullptr, /*shards=*/1);
+  FUZZYDB_RETURN_NOT_OK(CheckTarget(target, dim()));
+  return knn_internal::ShardedKnn(
+      size(), k, pool, shards,
+      [this] { return PagedRows(*file_, *pool_, options_.readahead_pages); },
+      [&](PagedRows& rows, ShardRange range, auto* best, CascadeStats*) {
+        return knn_internal::ExactKnnShard(rows, target.data(), dim(), k,
+                                           range, best);
+      },
+      /*stats=*/nullptr);
 }
 
 Result<std::vector<std::pair<size_t, double>>> PagedEmbeddingStore::CascadeKnn(
     std::span<const double> target, size_t k, const CascadeOptions& options,
     CascadeStats* stats, ThreadPool* pool, size_t shards) const {
-  if (k == 0 || size() == 0) return std::vector<std::pair<size_t, double>>{};
-  k = std::min(k, size());
-  assert(target.size() == dim());
-
+  FUZZYDB_RETURN_NOT_OK(CheckTarget(target, dim()));
   const QuantizedStore* qs =
       options.use_quantized && has_quantized() ? &quantized_ : nullptr;
   QuantizedStore::EncodedQuery qquery;
   if (qs != nullptr) qquery = qs->EncodeQuery(target);
 
   const BufferPoolStats before = pool_->stats();
-
-  const std::vector<ShardRange> ranges =
-      MakeShards(size(), ResolveShards(shards, pool, size()));
-  std::vector<std::vector<std::pair<double, size_t>>> local(ranges.size());
-  std::vector<CascadeStats> local_stats(ranges.size());
-  std::vector<Status> errors(ranges.size());
-  RunShards(pool, ranges.size(), [&](size_t s) {
-    PagedRows rows(*file_, *pool_, options_.readahead_pages);
-    if (!knn_internal::CascadeShard(rows, target.data(), dim(), k, options, qs,
-                                    qs != nullptr ? &qquery : nullptr,
-                                    ranges[s], &local[s], &local_stats[s])) {
-      errors[s] = rows.status();
-    }
-  });
-  FUZZYDB_RETURN_NOT_OK(FirstError(errors));
-
-  std::vector<std::pair<double, size_t>> merged;
-  merged.reserve(ranges.size() * k);
-  for (const auto& mine : local) {
-    merged.insert(merged.end(), mine.begin(), mine.end());
-  }
-  KeepKSmallest(&merged, k);
-  if (stats != nullptr) {
-    for (const CascadeStats& ls : local_stats) {
-      stats->Absorb(ls);
-    }
+  Result<std::vector<std::pair<size_t, double>>> answer =
+      knn_internal::ShardedKnn(
+          size(), k, pool, shards,
+          [this] {
+            return PagedRows(*file_, *pool_, options_.readahead_pages);
+          },
+          [&](PagedRows& rows, ShardRange range, auto* best,
+              CascadeStats* shard_stats) {
+            return knn_internal::CascadeShard(
+                rows, target.data(), dim(), k, options, qs,
+                qs != nullptr ? &qquery : nullptr, range, best, shard_stats);
+          },
+          stats);
+  if (answer.ok() && stats != nullptr) {
     const BufferPoolStats after = pool_->stats();
     stats->bytes_read_disk += after.bytes_read_disk - before.bytes_read_disk;
     stats->buffer_pool_hits += after.hits - before.hits;
     stats->buffer_pool_misses += after.misses - before.misses;
     stats->buffer_pool_evictions += after.evictions - before.evictions;
   }
-  return ToOutput(std::move(merged));
+  return answer;
 }
 
 Result<EmbeddingStore> PagedEmbeddingStore::LoadToMemory() const {

@@ -76,36 +76,36 @@ class PagedEmbeddingStore {
   const BufferPool& pool() const { return *pool_; }
   BufferPoolStats pool_stats() const { return pool_->stats(); }
 
+  // Every query takes a target of dim() finite doubles and returns
+  // InvalidArgument otherwise. `pool` and `shards` split the rows as the
+  // RAM store's methods do (default: one per pool executor; one serial
+  // pass without a pool), with answers bit-identical at every shard count.
+
   /// d(Row(i), target) — a single-row probe pinning one page.
   Result<double> Distance(std::span<const double> target, size_t i) const;
 
-  /// out[i] = |Row(i) - target|_2 for every stored row; one sequential
-  /// paged pass. Bit-identical to EmbeddingStore::BatchDistances.
-  Status BatchDistances(std::span<const double> target,
-                        std::span<double> out) const;
+  /// out[i] = |Row(i) - target|_2 for every stored row (`out` must have
+  /// size() entries); sequential paged passes. Bit-identical to
+  /// EmbeddingStore::BatchDistances.
   Status BatchDistances(std::span<const double> target, std::span<double> out,
-                        ThreadPool* pool, size_t shards = 0) const;
+                        ThreadPool* pool = nullptr, size_t shards = 0) const;
 
   /// Exact top-k; same contract (and bits) as EmbeddingStore::ExactKnn.
   Result<std::vector<std::pair<size_t, double>>> ExactKnn(
-      std::span<const double> target, size_t k) const;
-  Result<std::vector<std::pair<size_t, double>>> ExactKnn(
-      std::span<const double> target, size_t k, ThreadPool* pool,
+      std::span<const double> target, size_t k, ThreadPool* pool = nullptr,
       size_t shards = 0) const;
 
   /// Cascaded top-k; same contract (and bits) as
   /// EmbeddingStore::CascadeKnn. On top of the arithmetic counters (which
-  /// are deterministic and equal to the RAM store's), `stats` receives this
-  /// query's buffer-pool deltas: bytes_read_disk and pool hit/miss/eviction
-  /// counts. Pool deltas are exact when queries run one at a time and
-  /// attribution-approximate under concurrent queries (the pool's counters
-  /// are global).
+  /// are deterministic and equal to the RAM store's at the same shard
+  /// count), `stats` receives this query's buffer-pool deltas:
+  /// bytes_read_disk and pool hit/miss/eviction counts. Pool deltas are
+  /// exact when queries run one at a time and attribution-approximate under
+  /// concurrent queries (the pool's counters are global).
   Result<std::vector<std::pair<size_t, double>>> CascadeKnn(
       std::span<const double> target, size_t k,
-      const CascadeOptions& options = {}, CascadeStats* stats = nullptr) const;
-  Result<std::vector<std::pair<size_t, double>>> CascadeKnn(
-      std::span<const double> target, size_t k, const CascadeOptions& options,
-      CascadeStats* stats, ThreadPool* pool, size_t shards = 0) const;
+      const CascadeOptions& options = {}, CascadeStats* stats = nullptr,
+      ThreadPool* pool = nullptr, size_t shards = 0) const;
 
   /// Materializes the whole column as a RAM-resident EmbeddingStore (with
   /// its quantized companion rebuilt — bit-identical to the persisted one,

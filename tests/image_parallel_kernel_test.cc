@@ -3,17 +3,13 @@
 // ExactKnn and CascadeKnn must be *bit-identical* to their serial versions
 // (the lane-blocked kernel's accumulation order depends only on absolute
 // dimension indices, shard geometry depends only on (n, shards), and the
-// top-k merge uses the same lexicographic (d^2, index) order). Also pins the
-// CascadeTuner invariant: tuning changes costs, never answers.
+// top-k merge uses the same lexicographic (d^2, index) order).
 
 #include "image/embedding_store.h"
 
 #include <gtest/gtest.h>
 
 #include <thread>
-
-#include "image/cascade_tuner.h"
-#include "image/image_store.h"
 
 namespace fuzzydb {
 namespace {
@@ -178,119 +174,6 @@ TEST_F(ParallelKernelTest, MoreShardsThanRowsStillCorrect) {
     ExpectIdentical(store.ExactKnn(target, 3, &pool, shards), serial,
                     "tiny shards=" + std::to_string(shards));
   }
-}
-
-TEST_F(ParallelKernelTest, TunerNeverChangesAnswers) {
-  std::vector<std::vector<double>> calibration(targets_.begin(),
-                                               targets_.begin() + 3);
-  CascadeTunerOptions options;
-  options.k = 10;
-  TunedCascade tuned = CascadeTuner::Tune(store_, qfd_.eigenvalues(),
-                                          calibration, options);
-  EXPECT_GE(tuned.options.prefix_dim, 1u);
-  EXPECT_GE(tuned.options.step, 1u);
-  EXPECT_FALSE(tuned.sweep.empty());
-  // The winner's modeled cost is the minimum of the sweep.
-  for (const CascadeCandidate& c : tuned.sweep) {
-    EXPECT_LE(tuned.cost, c.cost);
-  }
-  // Every swept configuration — winner included — returns exactly the
-  // ExactKnn answer on fresh (non-calibration) queries.
-  for (size_t q = 3; q < targets_.size(); ++q) {
-    std::vector<std::pair<size_t, double>> exact =
-        store_.ExactKnn(targets_[q], 10);
-    for (const CascadeCandidate& c : tuned.sweep) {
-      ExpectIdentical(store_.CascadeKnn(targets_[q], 10, c.options), exact,
-                      "tuner prefix=" + std::to_string(c.options.prefix_dim) +
-                          " step=" + std::to_string(c.options.step));
-    }
-    ExpectIdentical(store_.CascadeKnn(targets_[q], 10, tuned.options), exact,
-                    "tuned winner");
-  }
-}
-
-TEST_F(ParallelKernelTest, TunerSweepsShardCountsWhenGivenAPool) {
-  std::vector<std::vector<double>> calibration(targets_.begin(),
-                                               targets_.begin() + 2);
-  ThreadPool pool(4);
-  CascadeTunerOptions options;
-  options.k = 10;
-  options.pool = &pool;
-  TunedCascade tuned = CascadeTuner::Tune(store_, qfd_.eigenvalues(),
-                                          calibration, options);
-  // The default shard grid widens to {1, 2, executors} with a real pool, so
-  // the sweep must contain multi-shard candidates and the winner must still
-  // be the sweep minimum.
-  bool saw_multi_shard = false;
-  for (const CascadeCandidate& c : tuned.sweep) {
-    if (c.shards > 1) saw_multi_shard = true;
-    EXPECT_LE(tuned.cost, c.cost);
-  }
-  EXPECT_TRUE(saw_multi_shard);
-  EXPECT_GE(tuned.shards, 1u);
-  // Whatever shard count wins, answers stay exact.
-  std::vector<std::pair<size_t, double>> exact =
-      store_.ExactKnn(targets_[3], 10);
-  ExpectIdentical(store_.CascadeKnn(targets_[3], 10, tuned.options, nullptr,
-                                    &pool, tuned.shards),
-                  exact, "tuned sharded winner");
-}
-
-TEST_F(ParallelKernelTest, TunerPrefersOneShardWithoutRealParallelism) {
-  // No pool: extra shards are charged full serial cost plus overhead, so
-  // they can only lose and the deterministic tie-break keeps shards=1. This
-  // is the 1-executor-host guarantee from DESIGN §3c.
-  std::vector<std::vector<double>> calibration(targets_.begin(),
-                                               targets_.begin() + 2);
-  CascadeTunerOptions options;
-  options.k = 10;
-  options.shard_grid = {1, 2, 4};
-  TunedCascade tuned = CascadeTuner::Tune(store_, qfd_.eigenvalues(),
-                                          calibration, options);
-  EXPECT_EQ(tuned.shards, 1u);
-}
-
-TEST_F(ParallelKernelTest, SpectrumPrefixesFollowTheEigenmass) {
-  // Steep spectrum: one dominant eigenvalue -> short prefixes everywhere.
-  std::vector<double> steep{100.0, 1.0, 0.5, 0.25, 0.1};
-  std::vector<double> fractions{0.25, 0.5, 0.75, 0.9};
-  std::vector<size_t> prefixes =
-      CascadeTuner::SpectrumPrefixes(steep, fractions);
-  ASSERT_FALSE(prefixes.empty());
-  EXPECT_EQ(prefixes.front(), 1u);  // 100/101.85 > 90% already
-  // Flat spectrum: fractions map to proportional depths.
-  std::vector<double> flat(10, 1.0);
-  prefixes = CascadeTuner::SpectrumPrefixes(flat, fractions);
-  ASSERT_EQ(prefixes.size(), 4u);
-  EXPECT_EQ(prefixes[0], 3u);   // ceil(0.25 * 10)
-  EXPECT_EQ(prefixes[1], 5u);
-  EXPECT_EQ(prefixes[2], 8u);
-  EXPECT_EQ(prefixes[3], 9u);
-  // Prefixes are sorted, unique, and within [1, dim].
-  for (size_t i = 0; i < prefixes.size(); ++i) {
-    EXPECT_GE(prefixes[i], 1u);
-    EXPECT_LE(prefixes[i], flat.size());
-    if (i > 0) {
-      EXPECT_LT(prefixes[i - 1], prefixes[i]);
-    }
-  }
-}
-
-TEST_F(ParallelKernelTest, GeneratedStoreExposesTunedCascade) {
-  ImageStoreOptions options;
-  options.num_images = 60;
-  options.palette_size = 27;
-  Result<ImageStore> store = ImageStore::Generate(options);
-  ASSERT_TRUE(store.ok());
-  const CascadeOptions& tuned = store->tuned_cascade();
-  EXPECT_GE(tuned.prefix_dim, 1u);
-  EXPECT_LE(tuned.prefix_dim, 27u);
-  EXPECT_GE(tuned.step, 1u);
-  // And the tuned options still answer exactly like ExactKnn.
-  std::vector<double> target =
-      store->color_distance().Embed(store->image(7).histogram);
-  ExpectIdentical(store->embeddings().CascadeKnn(target, 5, tuned),
-                  store->embeddings().ExactKnn(target, 5), "store tuned");
 }
 
 }  // namespace

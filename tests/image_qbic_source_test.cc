@@ -179,7 +179,6 @@ TEST(QbicShapeGoldenTest, ThousandImageGradesEqualTheReference) {
   options.num_images = 1000;
   options.palette_size = 27;
   options.seed = 11;
-  options.tune_cascade = false;
   Result<ImageStore> store = ImageStore::Generate(options);
   ASSERT_TRUE(store.ok());
   Rng rng(61);
@@ -219,7 +218,6 @@ TEST(QbicShapeGoldenTest, OtherSampleCountsMatchTheReference) {
   options.num_images = 200;
   options.palette_size = 27;
   options.seed = 13;
-  options.tune_cascade = false;
   Result<ImageStore> store = ImageStore::Generate(options);
   ASSERT_TRUE(store.ok());
   ASSERT_EQ(store->turning_table().samples(), 64u);

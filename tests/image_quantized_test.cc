@@ -197,18 +197,6 @@ TEST(QuantizedStoreTest, BatchLowerBoundsShardedIsBitIdenticalToSerial) {
         }
       }
     }
-    ThreadPool pool(4);
-    for (size_t shards : ShardCounts()) {
-      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-        std::vector<double> sharded(qs.size(), -1.0);
-        qs.BatchLowerBounds2(enc, sharded, p, shards);
-        for (size_t i = 0; i < serial.size(); ++i) {
-          ASSERT_EQ(sharded[i], serial[i]) << "shards=" << shards
-                                           << " pool=" << (p != nullptr)
-                                           << " i=" << i;
-        }
-      }
-    }
   }
 }
 

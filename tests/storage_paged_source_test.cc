@@ -38,7 +38,6 @@ class PagedSourceTest : public ::testing::Test {
     options.num_images = 120;
     options.palette_size = 16;
     options.seed = 77;
-    options.tune_cascade = false;
     Result<ImageStore> ram = ImageStore::Generate(options);
     ASSERT_TRUE(ram.ok()) << ram.status().ToString();
     ram_ = std::make_unique<ImageStore>(std::move(*ram));

@@ -15,10 +15,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "analysis/storage_audit.h"
+#include "common/thread_pool.h"
 #include "image/image_store.h"
 #include "storage/buffer_pool.h"
 #include "storage/column_file.h"
@@ -34,7 +36,6 @@ ImageStoreOptions SmallCollection() {
   options.num_images = 400;
   options.palette_size = 16;
   options.seed = 20230807;
-  options.tune_cascade = false;  // tuning changes costs, never answers
   return options;
 }
 
@@ -221,6 +222,109 @@ TEST(PagedStoreTest, QuantizedTierCanBeDisabledAtOpen) {
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(cascade.ok());
   EXPECT_EQ(*exact, *cascade);
+  std::remove(fx.path.c_str());
+}
+
+// Both stores run the one sharded driver, so on a real pool they agree on
+// answers and on every arithmetic counter at each shard count.
+TEST(PagedStoreTest, PooledShardsMatchTheRamStoreAnswersAndCounters) {
+  Fixture fx = MakeFixture("pooled", 4096);
+  Result<std::unique_ptr<PagedEmbeddingStore>> paged =
+      PagedEmbeddingStore::Open(fx.path);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  const EmbeddingStore& ram = fx.ram.embeddings();
+  ThreadPool pool(4);
+  for (size_t t : {size_t{0}, size_t{77}, size_t{301}}) {
+    const std::vector<double> target =
+        fx.ram.color_distance().Embed(fx.ram.image(t).histogram);
+    for (size_t shards : {2u, 3u, 4u}) {
+      SCOPED_TRACE("target=" + std::to_string(t) +
+                   " shards=" + std::to_string(shards));
+      std::vector<double> want_distances(ram.size());
+      std::vector<double> got_distances(ram.size());
+      ram.BatchDistances(target, want_distances, &pool, shards);
+      ASSERT_TRUE(
+          (*paged)->BatchDistances(target, got_distances, &pool, shards).ok());
+      EXPECT_EQ(got_distances, want_distances);
+
+      Result<std::vector<std::pair<size_t, double>>> exact =
+          (*paged)->ExactKnn(target, 10, &pool, shards);
+      ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+      cascade_reference::ExpectSameAnswer(
+          *exact, ram.ExactKnn(target, 10, &pool, shards));
+
+      for (bool int8 : {true, false}) {
+        CascadeOptions options;
+        options.use_quantized = int8;
+        CascadeStats want_stats;
+        const std::vector<std::pair<size_t, double>> want =
+            ram.CascadeKnn(target, 10, options, &want_stats, &pool, shards);
+        CascadeStats got_stats;
+        Result<std::vector<std::pair<size_t, double>>> got =
+            (*paged)->CascadeKnn(target, 10, options, &got_stats, &pool,
+                                 shards);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        cascade_reference::ExpectSameAnswer(*got, want);
+        // The pool counters are the paged store's own; the RAM store has
+        // none, so only the arithmetic ones are compared.
+        got_stats.bytes_read_disk = 0;
+        got_stats.buffer_pool_hits = 0;
+        got_stats.buffer_pool_misses = 0;
+        got_stats.buffer_pool_evictions = 0;
+        cascade_reference::ExpectSameStats(got_stats, want_stats);
+      }
+    }
+  }
+  (*paged)->Close();
+  std::remove(fx.path.c_str());
+}
+
+// Every query boundary answers a target of the wrong size, or with a NaN or
+// infinite entry, with InvalidArgument instead of reading past the span or
+// feeding NaN to the top-k heaps; BatchDistances does the same for `out`.
+TEST(PagedStoreTest, QueriesRejectMalformedTargets) {
+  Fixture fx = MakeFixture("targets", 4096);
+  Result<std::unique_ptr<PagedEmbeddingStore>> paged =
+      PagedEmbeddingStore::Open(fx.path);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  const PagedEmbeddingStore& store = **paged;
+  const std::vector<double> good =
+      fx.ram.color_distance().Embed(fx.ram.image(4).histogram);
+  std::vector<double> nan_target = good;
+  nan_target[3] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> inf_target = good;
+  inf_target.back() = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> bad = {
+      std::vector<double>(good.begin(), good.end() - 1),  // short
+      [&] {
+        std::vector<double> long_target = good;
+        long_target.push_back(0.0);
+        return long_target;
+      }(),
+      nan_target, inf_target};
+  std::vector<double> out(store.size());
+  for (size_t b = 0; b < bad.size(); ++b) {
+    SCOPED_TRACE("bad target " + std::to_string(b));
+    const std::vector<double>& target = bad[b];
+    EXPECT_EQ(store.Distance(target, 0).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(store.BatchDistances(target, out).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(store.ExactKnn(target, 5).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(store.CascadeKnn(target, 5).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  std::vector<double> short_out(store.size() - 1);
+  std::vector<double> long_out(store.size() + 1);
+  EXPECT_EQ(store.BatchDistances(good, short_out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.BatchDistances(good, long_out).code(),
+            StatusCode::kInvalidArgument);
+  // The well-formed target still answers.
+  EXPECT_TRUE(store.BatchDistances(good, out).ok());
+  EXPECT_TRUE(store.CascadeKnn(good, 5).ok());
+  (*paged)->Close();
   std::remove(fx.path.c_str());
 }
 
