@@ -19,17 +19,18 @@
 #           -Wthread-safety -Werror build of the whole tree, and the Clang
 #           Static Analyzer (core/deadcode/cplusplus, zero findings). Skips
 #           loudly without a Clang toolchain; CI runs it strictly.
-#   simd    Native-arch CHECKIN build; reruns the kernel-sensitive tests
-#           (simd dispatch, quantized tier, embedding, sharded kernels,
-#           R-tree driver source, analysis contracts, paged store and
-#           paged sources, the shape/QBIC bit-identity goldens, which
-#           FMA would break without -ffp-contract=off, and the end-to-end
-#           image pipeline integration test) once per
-#           FUZZYDB_SIMD level in {scalar,
-#           avx2, avx512}. The dispatcher clamps a forced level to what the
-#           host supports, so every leg runs everywhere and the widest ISA
-#           the hardware has is always exercised — bit-identical answers
-#           are asserted inside the tests themselves.
+#   simd    Two CHECKIN builds, native-arch and portable Release (what
+#           fuzzbench and default consumers compile); each reruns the
+#           kernel-sensitive tests (simd dispatch, the fused int8 bound
+#           kernel and quantized tier, embedding, sharded kernels, R-tree
+#           driver source, analysis contracts, paged store and paged
+#           sources, the shape/QBIC bit-identity goldens, which FMA would
+#           break without -ffp-contract=off, and the end-to-end image
+#           pipeline integration test) once per FUZZYDB_SIMD level in
+#           {scalar, avx2, avx512}. The dispatcher clamps a forced level to
+#           what the host supports, so every leg runs everywhere and the
+#           widest ISA the hardware has is always exercised — bit-identical
+#           answers are asserted inside the tests themselves.
 #   server  Serving-layer gate: ThreadSanitizer build, then the query-server
 #           suite (server_*, ticket, thread-pool, schedule fuzzers) under
 #           halt_on_error with timeout-only retries, then a FUZZYDB_SMOKE=1
@@ -45,8 +46,10 @@
 #   fuzzbench
 #           Configures the standalone fuzzbench/ package into
 #           .bench_build/fuzzbench, builds it, and runs its fuzzbench_smoke
-#           ctest — catches src/ API changes that break the benchmark
-#           build, which the tier-1 suite does not compile.
+#           ctest once per FUZZYDB_SIMD level (as in `simd`) — catches src/
+#           API changes that break the benchmark build, which the tier-1
+#           suite does not compile, and checks every workload's answers
+#           through each kernel level the host has.
 #   bench   Native-arch Release build; runs the perf-trajectory benches
 #           (exp16, exp21, exp22, exp23) so their BENCH_*.json land in the
 #           repo root. Not a gate: on a 1-hardware-thread host it warns loudly
@@ -94,14 +97,17 @@ case "${MODE}" in
   analyze)
     scripts/analyze.sh ;;
   simd)
-    cmake -B build-simd -S . -DFUZZYDB_NATIVE_ARCH=ON \
-      -DFUZZYDB_WARNING_LEVEL=CHECKIN
-    cmake --build build-simd -j "${JOBS}"
-    for level in scalar avx2 avx512; do
-      echo "== FUZZYDB_SIMD=${level} (clamped to host support) =="
-      FUZZYDB_SIMD="${level}" ctest --test-dir build-simd \
-        --output-on-failure -j "${JOBS}" \
-        -R 'simd|quantized|embedding|parallel_kernel|aligned_buffer|analysis|rtree|storage_paged|shape|qbic|integration'
+    for arch in native portable; do
+      if [ "${arch}" = native ]; then arch_flag=ON; else arch_flag=OFF; fi
+      cmake -B "build-simd-${arch}" -S . -DCMAKE_BUILD_TYPE=Release \
+        -DFUZZYDB_NATIVE_ARCH="${arch_flag}" -DFUZZYDB_WARNING_LEVEL=CHECKIN
+      cmake --build "build-simd-${arch}" -j "${JOBS}"
+      for level in scalar avx2 avx512; do
+        echo "== ${arch} build, FUZZYDB_SIMD=${level} (clamped to host support) =="
+        FUZZYDB_SIMD="${level}" ctest --test-dir "build-simd-${arch}" \
+          --output-on-failure -j "${JOBS}" \
+          -R 'simd|quantized|embedding|parallel_kernel|aligned_buffer|analysis|rtree|storage_paged|shape|qbic|integration'
+      done
     done ;;
   server)
     cmake -B build-server -S . -DFUZZYDB_TSAN=ON
@@ -129,8 +135,11 @@ case "${MODE}" in
   fuzzbench)
     cmake -B .bench_build/fuzzbench -S fuzzbench -DCMAKE_BUILD_TYPE=Release
     cmake --build .bench_build/fuzzbench -j "${JOBS}"
-    ctest --test-dir .bench_build/fuzzbench --output-on-failure \
-      -R fuzzbench_smoke ;;
+    for level in scalar avx2 avx512; do
+      echo "== FUZZYDB_SIMD=${level} (clamped to host support) =="
+      FUZZYDB_SIMD="${level}" ctest --test-dir .bench_build/fuzzbench \
+        --output-on-failure -R fuzzbench_smoke
+    done ;;
   bench)
     HW="$(nproc 2>/dev/null || echo 1)"
     if [ "${HW}" -le 1 ]; then

@@ -26,6 +26,28 @@ void BlockSsdScalar(const int8_t* x, const int8_t* y, size_t n,
   }
 }
 
+// The reference bound arithmetic, one row at a time: BlockSsdScalar's sums
+// folded straight into the recombination, block by block in ascending order.
+void BoundsScalar(const int8_t* codes, const int8_t* query, size_t blocks,
+                  const double* scales_sq, const double* row_residuals,
+                  double query_residual, size_t m, double* out) {
+  const size_t padded = blocks * kBlockDim;
+  for (size_t r = 0; r < m; ++r) {
+    const int8_t* row = codes + r * padded;
+    double dq2 = 0.0;
+    for (size_t b = 0; b < blocks; ++b) {
+      int32_t ssd = 0;
+      for (size_t j = b * kBlockDim; j < (b + 1) * kBlockDim; ++j) {
+        const int32_t d =
+            static_cast<int32_t>(row[j]) - static_cast<int32_t>(query[j]);
+        ssd += d * d;
+      }
+      dq2 += scales_sq[b] * static_cast<double>(ssd);
+    }
+    out[r] = FinishBound(dq2, row_residuals[r], query_residual);
+  }
+}
+
 #if defined(FUZZYDB_SIMD_X86)
 
 // Horizontal sum of 4 int32 lanes.
@@ -35,8 +57,27 @@ __attribute__((target("avx2"))) int32_t HSum4(__m128i v) {
   return _mm_cvtsi128_si32(v);
 }
 
-// Two 16-code blocks per 256-bit vector. maddubs and madd are in-lane, so
-// block b lands in the low 128-bit lane and block b+1 in the high one.
+// The 8 int32 partial sums of one 32-code chunk (blocks b and b+1) of a row
+// against the same chunk of the query. maddubs and madd are in-lane, so lane
+// k sums the squared differences of codes 4k..4k+3: lanes 0..3 hold block b
+// and lanes 4..7 block b+1.
+__attribute__((target("avx2"))) inline __m256i ChunkSsd(const int8_t* row,
+                                                        __m256i query) {
+  const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row));
+  const __m256i ad = _mm256_abs_epi8(_mm256_sub_epi8(x, query));
+  return _mm256_madd_epi16(_mm256_maddubs_epi16(ad, ad),
+                           _mm256_set1_epi16(1));
+}
+
+// The 16-code form of ChunkSsd for an odd trailing block: 4 partial sums.
+__attribute__((target("avx2"))) inline __m128i LoneBlockSsd(const int8_t* row,
+                                                         __m128i query) {
+  const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(row));
+  const __m128i ad = _mm_abs_epi8(_mm_sub_epi8(x, query));
+  return _mm_madd_epi16(_mm_maddubs_epi16(ad, ad), _mm_set1_epi16(1));
+}
+
+// Two 16-code blocks per 256-bit vector, reduced to one sum per block.
 // Operand bounds (codes in ±kInt8CodeMax): diff in [-126, 126] — no int8
 // wrap in sub_epi8, |diff| fits both maddubs operands, pair sums < 2^15.
 __attribute__((target("avx2"))) void BlockSsdAvx2(const int8_t* x,
@@ -46,27 +87,85 @@ __attribute__((target("avx2"))) void BlockSsdAvx2(const int8_t* x,
   const size_t blocks = n / kBlockDim;
   size_t b = 0;
   for (; b + 2 <= blocks; b += 2) {
-    const __m256i vx = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(x + b * kBlockDim));
-    const __m256i vy = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(y + b * kBlockDim));
-    const __m256i diff = _mm256_sub_epi8(vx, vy);
-    const __m256i ad = _mm256_abs_epi8(diff);
-    const __m256i sq = _mm256_maddubs_epi16(ad, ad);  // 16 x s16 pair sums
-    const __m256i s32 = _mm256_madd_epi16(sq, _mm256_set1_epi16(1));
+    const __m256i s32 = ChunkSsd(
+        x + b * kBlockDim, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+                               y + b * kBlockDim)));
     out[b] = HSum4(_mm256_castsi256_si128(s32));
     out[b + 1] = HSum4(_mm256_extracti128_si256(s32, 1));
   }
   if (b < blocks) {  // odd trailing block: same arithmetic, one 128-bit lane
-    const __m128i vx = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(x + b * kBlockDim));
-    const __m128i vy = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(y + b * kBlockDim));
-    const __m128i diff = _mm_sub_epi8(vx, vy);
-    const __m128i ad = _mm_abs_epi8(diff);
-    const __m128i sq = _mm_maddubs_epi16(ad, ad);
-    out[b] = HSum4(_mm_madd_epi16(sq, _mm_set1_epi16(1)));
+    out[b] = HSum4(LoneBlockSsd(
+        x + b * kBlockDim,
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(y + b * kBlockDim))));
   }
+}
+
+// dq2 += scale_sq * sums, four rows per lane: a rounded product, then a
+// rounded sum, exactly BoundsScalar's step (target "avx2" has no FMA to
+// contract into).
+__attribute__((target("avx2"))) inline __m256d Recombine(__m256d dq2,
+                                                         double scale_sq,
+                                                         __m128i sums) {
+  return _mm256_add_pd(
+      dq2, _mm256_mul_pd(_mm256_set1_pd(scale_sq), _mm256_cvtepi32_pd(sums)));
+}
+
+// Four rows at a time, one 64-bit lane per row. For each pair of blocks the
+// four rows' ChunkSsd vectors are reduced by a hadd tree into one vector
+// whose low 128-bit lane holds block b's exact sums for rows r..r+3 and
+// whose high lane holds block b+1's; int32 addition is exact, so these are
+// BlockSsdScalar's sums. The double steps then follow BoundsScalar per lane:
+// the same ascending-block recombination, an IEEE sqrt (correctly rounded,
+// as std::sqrt), the same products, differences and clamp. Rows past the
+// last multiple of four run through BoundsScalar itself.
+__attribute__((target("avx2"))) void BoundsAvx2(
+    const int8_t* codes, const int8_t* query, size_t blocks,
+    const double* scales_sq, const double* row_residuals,
+    double query_residual, size_t m, double* out) {
+  const size_t padded = blocks * kBlockDim;
+  const __m256d keep = _mm256_set1_pd(1.0 - kBoundSafety);
+  const __m256d qres = _mm256_set1_pd(query_residual);
+  size_t r = 0;
+  for (; r + 4 <= m; r += 4) {
+    const int8_t* row = codes + r * padded;
+    __m256d dq2 = _mm256_setzero_pd();
+    size_t b = 0;
+    for (; b + 2 <= blocks; b += 2) {
+      const size_t at = b * kBlockDim;
+      const __m256i q =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(query + at));
+      const __m256i sums = _mm256_hadd_epi32(
+          _mm256_hadd_epi32(ChunkSsd(row + at, q),
+                            ChunkSsd(row + padded + at, q)),
+          _mm256_hadd_epi32(ChunkSsd(row + 2 * padded + at, q),
+                            ChunkSsd(row + 3 * padded + at, q)));
+      dq2 = Recombine(dq2, scales_sq[b], _mm256_castsi256_si128(sums));
+      dq2 = Recombine(dq2, scales_sq[b + 1],
+                      _mm256_extracti128_si256(sums, 1));
+    }
+    if (b < blocks) {
+      const size_t at = b * kBlockDim;
+      const __m128i q =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(query + at));
+      const __m128i sums =
+          _mm_hadd_epi32(_mm_hadd_epi32(LoneBlockSsd(row + at, q),
+                                        LoneBlockSsd(row + padded + at, q)),
+                         _mm_hadd_epi32(LoneBlockSsd(row + 2 * padded + at, q),
+                                        LoneBlockSsd(row + 3 * padded + at, q)));
+      dq2 = Recombine(dq2, scales_sq[b], sums);
+    }
+    const __m256d bound = _mm256_sub_pd(
+        _mm256_sub_pd(_mm256_mul_pd(_mm256_sqrt_pd(dq2), keep),
+                      _mm256_loadu_pd(row_residuals + r)),
+        qres);
+    // bound <= 0 (ordered: a NaN bound stays NaN) finishes as +0.0.
+    const __m256d clamped =
+        _mm256_cmp_pd(bound, _mm256_setzero_pd(), _CMP_LE_OQ);
+    _mm256_storeu_pd(out + r,
+                     _mm256_andnot_pd(clamped, _mm256_mul_pd(bound, bound)));
+  }
+  BoundsScalar(codes + r * padded, query, blocks, scales_sq,
+               row_residuals + r, query_residual, m - r, out + r);
 }
 
 // GCC's avx512 cast/extract intrinsics expand through a deliberately
@@ -179,6 +278,15 @@ BlockSsdFn ResolveBlockSsd(Level level) {
   (void)level;
 #endif
   return BlockSsdScalar;
+}
+
+BoundsFn ResolveBounds(Level level) {
+#if defined(FUZZYDB_SIMD_X86)
+  if (level >= Level::kAvx2) return BoundsAvx2;
+#else
+  (void)level;
+#endif
+  return BoundsScalar;
 }
 
 BlockSsdFn ActiveBlockSsd() {

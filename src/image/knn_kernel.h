@@ -247,19 +247,26 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
   bound.resize(n);
   chunk.clear();
   size_t capacity = std::max<size_t>(4 * k, 256);
-  // The heap's order is only defined when no bound is NaN.
-  auto select = [&](size_t i) {
-    FUZZYDB_INVARIANT(!std::isnan(bound[i]),
-                      "cascade bound is NaN for row " +
-                          std::to_string(range.begin + i));
-    OfferSmallest(&chunk, capacity, bound[i], i);
+  // Offers row i's bound b to the chunk: OfferSmallest's strict-< rule
+  // against a copy of the heap top, re-read after every admission, so once
+  // the chunk is full a row whose bound is not below the top costs one
+  // compare. The heap's order is only defined when no bound is NaN.
+  bool full = false;
+  double top = 0.0;  // read only while `full`
+  auto select = [&](size_t i, double b) {
+    FUZZYDB_INVARIANT(!std::isnan(b), "cascade bound is NaN for row " +
+                                          std::to_string(range.begin + i));
+    if (full && !(b < top)) return;
+    OfferSmallest(&chunk, capacity, b, i);
+    full = chunk.size() == capacity;
+    if (full) top = chunk.front().first;
   };
   if (qquery != nullptr) {
     for (size_t lo = 0; lo < n; lo += kBoundSlice) {
-      const size_t len = std::min(kBoundSlice, n - lo);
-      qs->LowerBounds2Range(*qquery, range.begin + lo,
-                            std::span<double>(bound).subspan(lo, len));
-      for (size_t i = lo; i < lo + len; ++i) select(i);
+      const std::span<double> slice =
+          std::span<double>(bound).subspan(lo, std::min(kBoundSlice, n - lo));
+      qs->LowerBounds2Range(*qquery, range.begin + lo, slice);
+      for (size_t r = 0; r < slice.size(); ++r) select(lo + r, slice[r]);
     }
     stats->quantized_bound_computations += n;
     stats->bytes_scanned_quantized += n * qs->row_bytes();
@@ -270,7 +277,7 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
       SquaredDistanceAccumulator prefix;
       prefix.Accumulate(row, t, 0, s0);
       bound[i] = prefix.Total();
-      select(i);
+      select(i, bound[i]);
     }
     stats->bound_computations += n;
     stats->bytes_scanned_prefix += n * s0 * sizeof(double);

@@ -4,34 +4,10 @@
 #include <array>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 
 namespace fuzzydb {
 
 namespace {
-
-// Relative margin shaved off d~ before subtracting the residuals, so the
-// float recombination's roundoff (~1e-16 relative) can never push the
-// computed bound past the exactly-computed squared distance. See the
-// header's derivation: when the clamped bound is positive, d~ > r_x + r_t,
-// so a 1e-9 relative shave dominates every accumulated rounding term.
-constexpr double kBoundSafety = 1e-9;
-
-// Codes per batched kernel call in LowerBounds2Range: kBatchCodes / padded
-// rows (at least 4, since padded <= kMaxBlocks * kBlockDim = 1024) against
-// as many copies of the query. 4 KB of codes plus their block sums and
-// recombination state stay on the stack and in L1.
-constexpr size_t kBatchCodes = 4096;
-static_assert(QuantizedStore::kMaxBlocks * QuantizedStore::kBlockDim <=
-              kBatchCodes);
-
-// The last step of every bound, from the recombined d~^2 of one row.
-inline double FinishBound(double dq2, double row_residual,
-                          double query_residual) {
-  const double bound =
-      std::sqrt(dq2) * (1.0 - kBoundSafety) - row_residual - query_residual;
-  return bound <= 0.0 ? 0.0 : bound * bound;
-}
 
 int8_t QuantizeValue(double value, double scale) {
   if (scale <= 0.0) return 0;
@@ -80,6 +56,7 @@ QuantizedStore QuantizedStore::FromParts(size_t size, size_t dim,
          codes.size() == size * store.padded_);
   store.kernel_level_ = simd::Active();
   store.kernel_ = simd::ResolveBlockSsd(store.kernel_level_);
+  store.bounds_ = simd::ResolveBounds(store.kernel_level_);
   store.scales_ = std::move(scales);
   store.scales_sq_.resize(store.blocks_);
   for (size_t b = 0; b < store.blocks_; ++b) {
@@ -101,6 +78,7 @@ QuantizedStore QuantizedStore::Build(const double* rows, size_t size,
   store.padded_ = store.blocks_ * kBlockDim;
   store.kernel_level_ = simd::Active();
   store.kernel_ = simd::ResolveBlockSsd(store.kernel_level_);
+  store.bounds_ = simd::ResolveBounds(store.kernel_level_);
 
   // Per-block scales from the data's own maxima: stored codes never clamp.
   store.scales_.assign(store.blocks_, 0.0);
@@ -147,7 +125,7 @@ double QuantizedStore::LowerBound2(const EncodedQuery& query, size_t i) const {
   for (size_t b = 0; b < blocks_; ++b) {
     dq2 += scales_sq_[b] * static_cast<double>(block_sums[b]);
   }
-  return FinishBound(dq2, residuals_[i], query.residual);
+  return simd::FinishBound(dq2, residuals_[i], query.residual);
 }
 
 void QuantizedStore::LowerBounds2Range(const EncodedQuery& query,
@@ -155,32 +133,9 @@ void QuantizedStore::LowerBounds2Range(const EncodedQuery& query,
                                        std::span<double> out) const {
   assert(begin + out.size() <= size_);
   if (out.empty()) return;
-  const size_t batch_rows = kBatchCodes / padded_;
-  alignas(64) std::array<int8_t, kBatchCodes> replicated;
-  for (size_t r = 0; r < std::min(batch_rows, out.size()); ++r) {
-    std::memcpy(replicated.data() + r * padded_, query.codes.data(), padded_);
-  }
-  std::array<int32_t, kBatchCodes / kBlockDim> block_sums;
-  std::array<double, kBatchCodes / kBlockDim> dq2;
-  for (size_t first = 0; first < out.size(); first += batch_rows) {
-    const size_t m = std::min(batch_rows, out.size() - first);
-    const size_t row = begin + first;
-    kernel_(codes_.data() + row * padded_, replicated.data(), m * padded_,
-            block_sums.data());
-    // LowerBound2's recombination, row by row in ascending-block order; only
-    // the rows are interleaved, so every row's sum is bit-identical to it.
-    for (size_t r = 0; r < m; ++r) dq2[r] = 0.0;
-    for (size_t b = 0; b < blocks_; ++b) {
-      const double scale_sq = scales_sq_[b];
-      for (size_t r = 0; r < m; ++r) {
-        dq2[r] += scale_sq * static_cast<double>(block_sums[r * blocks_ + b]);
-      }
-    }
-    for (size_t r = 0; r < m; ++r) {
-      out[first + r] =
-          FinishBound(dq2[r], residuals_[row + r], query.residual);
-    }
-  }
+  bounds_(codes_.data() + begin * padded_, query.codes.data(), blocks_,
+          scales_sq_.data(), residuals_.data() + begin, query.residual,
+          out.size(), out.data());
 }
 
 void QuantizedStore::BatchLowerBounds2(const EncodedQuery& query,

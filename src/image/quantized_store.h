@@ -56,7 +56,7 @@ class QuantizedStore {
  public:
   /// Dimensions per scale block (= the kernel block size).
   static constexpr size_t kBlockDim = simd::kBlockDim;
-  /// Hard cap on blocks per row, sizing the kernel's stack scratch.
+  /// Hard cap on blocks per row, sizing LowerBound2's stack scratch.
   static constexpr size_t kMaxBlocks = 64;
 
   QuantizedStore() = default;
@@ -133,9 +133,9 @@ class QuantizedStore {
   double LowerBound2(const EncodedQuery& query, size_t i) const;
 
   /// out[r] = LowerBound2(query, begin + r) for every r < out.size(), bit for
-  /// bit. One kernel call scores a whole batch of contiguous rows against the
-  /// query replicated once per row; each row is then recombined in
-  /// LowerBound2's ascending-block order, the loops running across rows.
+  /// bit: one call of the fused bound kernel (simd::BoundsFn) over the
+  /// contiguous rows, which runs LowerBound2's arithmetic several rows at a
+  /// time.
   void LowerBounds2Range(const EncodedQuery& query, size_t begin,
                          std::span<double> out) const;
 
@@ -151,6 +151,7 @@ class QuantizedStore {
   size_t blocks_ = 0;
   simd::Level kernel_level_ = simd::Level::kScalar;
   simd::BlockSsdFn kernel_ = nullptr;
+  simd::BoundsFn bounds_ = nullptr;
   std::vector<double> scales_;     // per block
   std::vector<double> scales_sq_;  // s_b^2, the recombination coefficients
   std::vector<double> residuals_;  // per row

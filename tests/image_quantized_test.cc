@@ -16,11 +16,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <thread>
 
 #include "common/squared_distance.h"
 #include "image/embedding_store.h"
 #include "image/quadratic_distance.h"
+#include "tests/cascade_reference.h"
 
 namespace fuzzydb {
 namespace {
@@ -195,6 +197,148 @@ TEST(QuantizedStoreTest, BatchLowerBoundsShardedIsBitIdenticalToSerial) {
                     std::bit_cast<uint64_t>(serial[begin + r]))
               << "begin=" << begin << " len=" << len << " r=" << r;
         }
+      }
+    }
+  }
+}
+
+// The fused bound kernel at every level this host can run, called directly
+// on ranges of a store's rows, must equal the single-row LowerBound2 bit
+// for bit: 1, 2, 3, 4 and kMaxBlocks = 64 blocks (with and without an odd
+// trailing block, and a partial last block), ranges that are not multiples
+// of four rows and start off a four-row boundary, bounds that clamp to 0,
+// and a target far outside the store's range, whose codes clamp.
+TEST(QuantizedStoreTest, FusedBoundsEqualLowerBound2AtEveryLevel) {
+  const size_t kRows = 4110;
+  for (size_t dim : {1u, 16u, 27u, 32u, 48u, 64u, 1024u}) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    Rng rng(6101 + dim);
+    std::vector<double> spectrum(dim);
+    for (size_t j = 0; j < dim; ++j) {
+      spectrum[j] = std::exp(-0.05 * static_cast<double>(j));
+    }
+    std::vector<double> near(dim);
+    for (size_t j = 0; j < dim; ++j) {
+      near[j] = (2.0 * rng.NextDouble() - 1.0) * spectrum[j];
+    }
+    // Every 97th row is the near target itself, so its bound clamps to 0.
+    std::vector<double> rows(kRows * dim);
+    for (size_t i = 0; i < kRows; ++i) {
+      for (size_t j = 0; j < dim; ++j) {
+        rows[i * dim + j] = i % 97 == 5
+                                ? near[j]
+                                : (2.0 * rng.NextDouble() - 1.0) * spectrum[j];
+      }
+    }
+    const QuantizedStore qs =
+        QuantizedStore::Build(rows.data(), kRows, dim, dim);
+    std::vector<double> scales_sq;
+    for (double s : qs.scales()) scales_sq.push_back(s * s);
+    std::vector<double> far(dim);
+    for (size_t j = 0; j < dim; ++j) far[j] = 1000.0 * (j % 2 ? 1.0 : -1.0);
+
+    for (const std::vector<double>* target : {&near, &far}) {
+      const bool is_far = target == &far;
+      SCOPED_TRACE(is_far ? "far target" : "near target");
+      const QuantizedStore::EncodedQuery enc = qs.EncodeQuery(*target);
+      std::vector<double> want(kRows);
+      size_t zeros = 0;
+      for (size_t i = 0; i < kRows; ++i) {
+        want[i] = qs.LowerBound2(enc, i);
+        if (want[i] == 0.0) ++zeros;
+      }
+      if (is_far) {
+        EXPECT_EQ(std::abs(enc.codes[0]), simd::kInt8CodeMax);
+      } else {
+        EXPECT_GE(zeros, kRows / 97);
+      }
+      for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
+                                simd::Level::kAvx512Vnni}) {
+        if (level > simd::Detect()) continue;
+        const simd::BoundsFn bounds = simd::ResolveBounds(level);
+        for (size_t begin : {1u, 6u}) {
+          for (size_t len : {1u, 3u, 4u, 5u, 127u, 4095u, 4097u}) {
+            std::vector<double> got(len, -1.0);
+            bounds(qs.RowCodes(begin).data(), enc.codes.data(), qs.blocks(),
+                   scales_sq.data(), qs.residuals().data() + begin,
+                   enc.residual, len, got.data());
+            ASSERT_EQ(std::memcmp(got.data(), want.data() + begin,
+                                  len * sizeof(double)),
+                      0)
+                << simd::Name(level) << " begin=" << begin << " len=" << len;
+          }
+        }
+      }
+      // And the store's own range call, at the active level.
+      std::vector<double> got(kRows - 3, -1.0);
+      qs.LowerBounds2Range(enc, 3, got);
+      ASSERT_EQ(std::memcmp(got.data(), want.data() + 3,
+                            got.size() * sizeof(double)),
+                0);
+    }
+  }
+}
+
+// Level −1 admission ties: hundreds of duplicate rows share the smallest
+// int8 bound, so once the first chunk fills, every later duplicate's bound
+// equals the heap top exactly and must lose its tie on index. Answers and
+// every CascadeStats counter must equal the full-sort reference walk.
+TEST(QuantizedStoreTest, AdmissionTiesAtTheHeapTopMatchTheFullSortWalk) {
+  const size_t dim = 24;
+  const size_t n = 1500;
+  Rng rng(6113);
+  auto draw = [&] {
+    std::vector<double> x(dim);
+    for (size_t j = 0; j < dim; ++j) {
+      x[j] = (2.0 * rng.NextDouble() - 1.0) *
+             std::exp(-0.15 * static_cast<double>(j));
+    }
+    return x;
+  };
+  const std::vector<double> twin = draw();
+  EmbeddingStore store(n, dim);
+  for (size_t i = 0; i < n; ++i) {
+    const std::vector<double> x = i % 5 < 3 ? twin : draw();
+    std::copy(x.begin(), x.end(), store.MutableRow(i).begin());
+  }
+  store.BuildQuantized();
+  const QuantizedStore& qs = store.quantized();
+  const std::vector<double> off_twin = [&] {
+    std::vector<double> x = twin;
+    for (double& v : x) v += 0.02 * (rng.NextDouble() - 0.5);
+    return x;
+  }();
+
+  struct StoreRows {
+    const EmbeddingStore* store;
+    const double* Acquire(size_t i) { return store->Row(i).data(); }
+  };
+  ThreadPool pool(3);
+  for (const std::vector<double>* target : {&twin, &off_twin}) {
+    // The 900 twins tie at the smallest bound, beyond any first chunk.
+    const QuantizedStore::EncodedQuery enc = qs.EncodeQuery(*target);
+    const double twin_bound = qs.LowerBound2(enc, 0);
+    size_t ties = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const double b = qs.LowerBound2(enc, i);
+      ASSERT_GE(b, twin_bound);
+      if (b == twin_bound) ++ties;
+    }
+    ASSERT_GE(ties, 900u);
+    for (size_t shards : {1u, 2u, 3u}) {
+      for (size_t k : {size_t{1}, size_t{10}, size_t{100}, size_t{400}}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     " k=" + std::to_string(k) +
+                     (target == &twin ? " twin" : " off twin"));
+        CascadeStats want_stats;
+        std::vector<std::pair<size_t, double>> want;
+        ASSERT_TRUE(cascade_reference::FullSortCascadeKnn(
+            [&] { return StoreRows{&store}; }, n, *target, k,
+            CascadeOptions{}, &qs, shards, &want, &want_stats));
+        CascadeStats got_stats;
+        cascade_reference::ExpectSameAnswer(
+            store.CascadeKnn(*target, k, {}, &got_stats, &pool, shards), want);
+        cascade_reference::ExpectSameStats(got_stats, want_stats);
       }
     }
   }
