@@ -1,9 +1,10 @@
 // E16 — the eigen-space embedding layer end to end: exact kNN through the
 // O(k)-per-pair batched kernel vs the seed O(k^2)-per-pair quadratic-form
 // scan, and the multi-level cascaded filter vs the two-level
-// distance-bounding filter of E5. Every strategy is exact (recall 1.0, no
-// false dismissals); the contest is purely how much full-precision work
-// each avoids. Results also land in BENCH_embedding.json for the perf
+// distance-bounding filter of E5 (CascadeKnn with {.prefix_dim = 3,
+// .step = 64, .use_quantized = false}). Every strategy is exact (recall
+// 1.0, no false dismissals); the contest is purely how much full-precision
+// work each avoids. Results also land in BENCH_embedding.json for the perf
 // trajectory.
 
 #include <chrono>
@@ -12,7 +13,6 @@
 
 #include "bench_util.h"
 #include "common/simd_dispatch.h"
-#include "image/bounding.h"
 #include "image/embedding_store.h"
 
 namespace fuzzydb {
@@ -80,8 +80,6 @@ void PrintTables() {
   Banner("E16: embedding kernel & cascaded filter (top-10 of 2000 images, "
          "64 bins)");
   Setup s = MakeSetup();
-  EigenFilter filter =
-      CheckedValue(EigenFilter::Create(s.qfd, 3), "E16 filter");
   auto now = [] { return std::chrono::steady_clock::now(); };
 
   // Reference answers: the seed path (full quadratic form per candidate).
@@ -109,14 +107,16 @@ void PrintTables() {
     }
   }
 
-  // Two-level filter (E5's strategy: 3-dim bound, O(k^2) refinement).
+  // Two-level filter (E5's strategy: a 3-dim bound for every object, then
+  // each candidate refined straight to full depth).
+  const CascadeOptions two_level{
+      .prefix_dim = 3, .step = kBins, .use_quantized = false};
   size_t filtered_full = 0, filtered_mismatches = 0;
   t0 = now();
   for (int q = 0; q < kQueries; ++q) {
-    FilteredSearchStats stats;
-    auto got = CheckedValue(
-        FilteredKnn(s.qfd, filter, s.db, s.targets[q], kK, &stats),
-        "E16 filtered");
+    CascadeStats stats;
+    auto got = s.embeddings.CascadeKnn(s.qfd.Embed(s.targets[q]), kK,
+                                       two_level, &stats);
     filtered_full += stats.full_distance_computations;
     for (size_t i = 0; i < kK; ++i) {
       if (got[i].first != reference[q][i].first) ++filtered_mismatches;
@@ -172,7 +172,7 @@ void PrintTables() {
             << " dims/query accumulated past the prefix, "
             << per_query(cascade_stats.full_distance_computations)
             << " reached full depth (two-level filter: "
-            << per_query(filtered_full) << " full O(k^2) evals/query).\n";
+            << per_query(filtered_full) << " full evals/query).\n";
 
   // --- Batch-kernel detail: scalar seed loop vs the lane-blocked kernel,
   // then the same kernel sharded across thread pools of growing size. The

@@ -14,8 +14,8 @@
 // paper's curse (§2.1) shows up as node accesses per release growing with
 // D while the driver's refinements track the consumed depth, not N; the
 // numbers land in BENCH_rtree.json together with GeminiIndex's
-// partial-refinement counters (the work pruned candidates cost, which the
-// old stats dropped).
+// CascadeStats::candidates_refined, under the key partial_refinements (the
+// candidates that entered refinement, including the ones pruned mid-row).
 
 #include <algorithm>
 #include <array>
@@ -97,10 +97,8 @@ void PrintTables() {
   uint64_t total_mismatches = 0;
 
   for (size_t dim : {2u, 4u, 8u, 16u, 24u, 32u}) {
-    EigenFilter filter =
-        CheckedValue(EigenFilter::Create(qfd, dim), "E21 filter");
-    GeminiIndex index = CheckedValue(
-        GeminiIndex::Build(&qfd, std::move(filter), &db), "E21 index");
+    GeminiIndex index =
+        CheckedValue(GeminiIndex::Build(&qfd, dim, &db), "E21 index");
     const std::string dkey = "dim" + std::to_string(dim);
 
     AlgoTally ta, ca;
@@ -169,11 +167,11 @@ void PrintTables() {
           &cstats);
       cascade_bounds += cstats.bound_computations;
       cascade_full += cstats.full_distance_computations;
-      FilteredSearchStats gstats;
+      CascadeStats gstats;
       auto gemini_knn = CheckedValue(index.Knn(target, kK, &gstats),
                                      "E21 gemini knn");
       benchmark::DoNotOptimize(gemini_knn);
-      gemini_partial += gstats.partial_refinements;
+      gemini_partial += gstats.candidates_refined;
       gemini_full += gstats.full_distance_computations;
     }
 
@@ -231,10 +229,8 @@ void BM_RtreeDriverPrefix(benchmark::State& state) {
       CheckedValue(QuadraticFormDistance::Create(palette), "E21 bm qfd");
   std::vector<Histogram> db;
   for (size_t i = 0; i < kN; ++i) db.push_back(RandomHistogram(&rng, kBins));
-  EigenFilter filter =
-      CheckedValue(EigenFilter::Create(qfd, dim), "E21 bm filter");
-  GeminiIndex index = CheckedValue(
-      GeminiIndex::Build(&qfd, std::move(filter), &db), "E21 bm index");
+  GeminiIndex index =
+      CheckedValue(GeminiIndex::Build(&qfd, dim, &db), "E21 bm index");
   Histogram target = RandomHistogram(&rng, kBins);
   RtreeKnnSource driver = CheckedValue(RtreeKnnSource::Create(&index, target),
                                        "E21 bm driver");

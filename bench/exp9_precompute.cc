@@ -2,14 +2,15 @@
 // rarely-updated collection ("a few thousand images"), caching all pairwise
 // color distances removes quadratic-form evaluations from query time
 // entirely. We compare three ways to answer "10 images most similar to
-// image #i": full distance per candidate, the eigen-filter search, and the
+// image #i": full distance per candidate, the eigen-filter search (the
+// store's embeddings through CascadeKnn with {.prefix_dim = 3, .step = 64,
+// .use_quantized = false}, the paper's two-level filter), and the
 // precomputed cache.
 
 #include "bench_util.h"
 
 #include <chrono>
 
-#include "image/bounding.h"
 #include "image/precompute.h"
 
 namespace fuzzydb {
@@ -24,6 +25,22 @@ struct Setup {
   ImageStore store;
   std::vector<Histogram> histograms;
 };
+
+// The paper's two-level filter: a 3-dim summary bound for every image, full
+// distances for the candidates in ascending bound order.
+CascadeOptions TwoLevelFilter(const Setup& s) {
+  return {.prefix_dim = 3,
+          .step = s.store.embeddings().dim(),
+          .use_quantized = false};
+}
+
+std::vector<std::pair<size_t, double>> FilterSearch(const Setup& s,
+                                                   size_t probe,
+                                                   CascadeStats* stats) {
+  const QuadraticFormDistance& qfd = s.store.color_distance();
+  return s.store.embeddings().CascadeKnn(qfd.Embed(s.histograms[probe]), kK,
+                                         TwoLevelFilter(s), stats);
+}
 
 Setup MakeSetup() {
   ImageStoreOptions options;
@@ -41,7 +58,6 @@ void PrintTables() {
   Banner("E9: precomputed distances (2000 images, 64-bin histograms, k=10)");
   Setup s = MakeSetup();
   const QuadraticFormDistance& qfd = s.store.color_distance();
-  EigenFilter filter = CheckedValue(EigenFilter::Create(qfd, 3), "E9 filter");
 
   auto now = [] { return std::chrono::steady_clock::now(); };
   auto us = [](auto a, auto b) {
@@ -49,25 +65,23 @@ void PrintTables() {
                .count() /
            static_cast<double>(kQueries);
   };
+  auto probe = [](int q) { return static_cast<size_t>(q) * 97 % kImages; };
 
-  // Strategy 1: full distance to every candidate.
+  // Strategy 1: full distance to every candidate. Its answers are the
+  // reference for the other two.
+  std::vector<std::vector<std::pair<size_t, double>>> exact;
   auto t0 = now();
-  size_t sink = 0;
   for (int q = 0; q < kQueries; ++q) {
-    auto r = ExactKnn(qfd, s.histograms, s.histograms[q * 97 % kImages], kK);
-    sink += r[0].first;
+    exact.push_back(ExactKnn(qfd, s.histograms, s.histograms[probe(q)], kK));
   }
   auto t1 = now();
 
   // Strategy 2: eigen-filtered search.
   size_t full_evals = 0;
+  std::vector<std::vector<std::pair<size_t, double>>> filtered;
   for (int q = 0; q < kQueries; ++q) {
-    FilteredSearchStats stats;
-    auto r = CheckedValue(
-        FilteredKnn(qfd, filter, s.histograms,
-                    s.histograms[q * 97 % kImages], kK, &stats),
-        "E9 filtered");
-    sink += r[0].first;
+    CascadeStats stats;
+    filtered.push_back(FilterSearch(s, probe(q), &stats));
     full_evals += stats.full_distance_computations;
   }
   auto t2 = now();
@@ -77,12 +91,27 @@ void PrintTables() {
   PairwiseDistanceCache cache =
       CheckedValue(PairwiseDistanceCache::Build(s.store), "E9 cache");
   auto tb1 = now();
+  std::vector<std::vector<std::pair<size_t, double>>> cached;
   for (int q = 0; q < kQueries; ++q) {
-    auto r = cache.Nearest(q * 97 % kImages, kK);
-    sink += r[0].first;
+    cached.push_back(cache.Nearest(probe(q), kK));
   }
   auto t3 = now();
-  benchmark::DoNotOptimize(sink);
+
+  // The filter must return the exact answer. The cache leaves the probe
+  // itself out, so it must return the exact top-(k+1) minus the probe.
+  size_t filter_mismatches = 0;
+  size_t cache_mismatches = 0;
+  for (int q = 0; q < kQueries; ++q) {
+    for (size_t i = 0; i < kK; ++i) {
+      if (filtered[q][i].first != exact[q][i].first) ++filter_mismatches;
+    }
+    std::vector<std::pair<size_t, double>> others =
+        ExactKnn(qfd, s.histograms, s.histograms[probe(q)], kK + 1);
+    std::erase_if(others, [&](const auto& p) { return p.first == probe(q); });
+    for (size_t i = 0; i < kK; ++i) {
+      if (cached[q][i].first != others[i].first) ++cache_mismatches;
+    }
+  }
 
   TablePrinter table({"strategy", "per-query-us", "dist-evals/query"});
   table.AddRow({"full-distance scan", TablePrinter::Num(us(t0, t1), 4),
@@ -93,6 +122,8 @@ void PrintTables() {
   table.AddRow({"precomputed cache", TablePrinter::Num(us(tb1, t3), 4),
                 "0"});
   table.Print();
+  CheckZero(filter_mismatches, "E9 filtered answers against the full scan");
+  CheckZero(cache_mismatches, "E9 cache answers against the full scan");
   std::cout << "One-time cache build: "
             << std::chrono::duration_cast<std::chrono::milliseconds>(tb1 -
                                                                      tb0)
@@ -106,8 +137,6 @@ void BM_QueryStrategy(benchmark::State& state) {
   static Setup s = MakeSetup();
   static PairwiseDistanceCache cache =
       CheckedValue(PairwiseDistanceCache::Build(s.store), "bench cache");
-  static EigenFilter filter = CheckedValue(
-      EigenFilter::Create(s.store.color_distance(), 3), "bench filter");
   const int which = static_cast<int>(state.range(0));
   size_t q = 0;
   for (auto _ : state) {
@@ -120,10 +149,7 @@ void BM_QueryStrategy(benchmark::State& state) {
         break;
       }
       case 1: {
-        auto r = CheckedValue(
-            FilteredKnn(s.store.color_distance(), filter, s.histograms,
-                        s.histograms[probe], kK),
-            "bench filtered");
+        auto r = FilterSearch(s, probe, nullptr);
         benchmark::DoNotOptimize(r.data());
         break;
       }

@@ -7,7 +7,6 @@
 
 #include <iostream>
 
-#include "image/bounding.h"
 #include "image/indexed_search.h"
 #include "image/precompute.h"
 #include "image/qbic_source.h"
@@ -28,44 +27,37 @@ int main() {
   ImageStore store = std::move(*store_result);
   const QuadraticFormDistance& qfd = store.color_distance();
 
-  // --- 1. "images whose color is close to red", with and without the
-  // distance-bounding filter. ---
+  // --- 1. "images whose color is close to red", with the
+  // distance-bounding filter: a 3-dim summary bound for every image, full
+  // distances only for the candidates it cannot rule out. ---
   Histogram red = TargetHistogram(store.palette(), {1.0, 0.1, 0.1});
+  const EmbeddingStore& embeddings = store.embeddings();
+  const CascadeOptions filter{
+      .prefix_dim = 3, .step = embeddings.dim(), .use_quantized = false};
+  CascadeStats stats;
+  auto top = embeddings.CascadeKnn(qfd.Embed(red), 5, filter, &stats);
+  std::cout << "top-5 reddest covers (filtered search):\n";
+  for (const auto& [idx, dist] : top) {
+    std::cout << "  image " << store.image(idx).id << "  color distance "
+              << dist << "\n";
+  }
+  std::cout << "full distance evaluations: "
+            << stats.full_distance_computations << " of " << store.size()
+            << " (the dimension-3 summary pruned the rest; guaranteed no "
+            << "false dismissals)\n";
+
+  // The same search through the GEMINI pipeline: an R-tree over the
+  // summaries replaces even the linear pass over summary vectors.
   std::vector<Histogram> histograms;
   for (const ImageRecord& rec : store.images()) {
     histograms.push_back(rec.histogram);
   }
-
-  Result<EigenFilter> filter = EigenFilter::Create(qfd, 3);
-  if (!filter.ok()) {
-    std::cerr << filter.status().ToString() << "\n";
-    return 1;
-  }
-  FilteredSearchStats stats;
-  auto top = FilteredKnn(qfd, *filter, histograms, red, 5, &stats);
-  if (!top.ok()) {
-    std::cerr << top.status().ToString() << "\n";
-    return 1;
-  }
-  std::cout << "top-5 reddest covers (filtered search):\n";
-  for (const auto& [idx, dist] : *top) {
-    std::cout << "  image " << store.image(idx).id << "  color distance "
-              << dist << "\n";
-  }
-  std::cout << "full quadratic-form evaluations: "
-            << stats.full_distance_computations << " of "
-            << histograms.size() << " (the dimension-3 summary pruned the "
-            << "rest; guaranteed no false dismissals)\n";
-
-  // The same search through the GEMINI pipeline: an R-tree over the
-  // summaries replaces even the linear pass over summary vectors.
-  Result<GeminiIndex> gemini =
-      GeminiIndex::Build(&qfd, *filter, &histograms);
+  Result<GeminiIndex> gemini = GeminiIndex::Build(&qfd, 3, &histograms);
   if (!gemini.ok()) {
     std::cerr << gemini.status().ToString() << "\n";
     return 1;
   }
-  FilteredSearchStats gstats;
+  CascadeStats gstats;
   auto gtop = gemini->Knn(red, 5, &gstats);
   if (!gtop.ok()) {
     std::cerr << gtop.status().ToString() << "\n";
@@ -73,7 +65,7 @@ int main() {
   }
   std::cout << "same answers via the R-tree-indexed summaries: "
             << gstats.bound_computations << " summary evaluations instead "
-            << "of " << histograms.size() << "\n";
+            << "of " << store.size() << "\n";
 
   // --- 2. "images shaped like a hexagon" via turning functions. ---
   Result<QbicShapeSource> shape =

@@ -50,11 +50,14 @@
 #           API changes that break the benchmark build, which the tier-1
 #           suite does not compile, and checks every workload's answers
 #           through each kernel level the host has.
-#   bench   Native-arch Release build; runs the perf-trajectory benches
-#           (exp16, exp21, exp22, exp23) so their BENCH_*.json land in the
-#           repo root. Not a gate: on a 1-hardware-thread host it warns loudly
-#           and the reports carry "contention_only": true — the guarded
-#           writer refuses to overwrite a multi-core report with one.
+#   bench   Native-arch Release build; runs the paper's filter bench (exp5)
+#           and the perf-trajectory benches (exp16, exp21, exp22, exp23) so
+#           their BENCH_*.json land in the repo root. exp5, exp16, exp21 and
+#           exp23 abort, writing no report, on any false dismissal or
+#           mismatch. The timings are not a gate: on a 1-hardware-thread host
+#           it warns loudly and the reports carry "contention_only": true —
+#           the guarded writer refuses to overwrite a multi-core report with
+#           one.
 #   all     plain + asan + tsan + checks + simd + server + storage +
 #           fuzzbench + lint + analyze (default; bench is opt-in).
 set -euo pipefail
@@ -149,8 +152,10 @@ case "${MODE}" in
     fi
     cmake -B build-native -S . -DFUZZYDB_NATIVE_ARCH=ON
     cmake --build build-native -j "${JOBS}" --target \
-      exp16_embedding_cascade exp21_rtree_driver exp22_query_server \
-      exp23_out_of_core
+      exp5_filter_bound exp16_embedding_cascade exp21_rtree_driver \
+      exp22_query_server exp23_out_of_core
+    ./build-native/bench/exp5_filter_bound \
+      --benchmark_min_time=0.01
     ./build-native/bench/exp16_embedding_cascade \
       --benchmark_min_time=0.01
     ./build-native/bench/exp21_rtree_driver \

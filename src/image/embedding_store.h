@@ -14,13 +14,28 @@
 //   3. batched kernels over the contiguous buffer that the compiler can
 //      keep in registers / vectorize (one row per object, unit stride).
 //
+// The paper's distance-bounding filter ([HSE+95]) keeps a short summary x̂
+// of each histogram with a cheap distance d̂ such that
+//
+//   d(x, y) >= d̂(x̂, ŷ)   for all x, y          (paper formula (2)).
+//
+// Here x̂ is the first s embedding coordinates, x̂_j = sqrt(λ_j)·⟨x, v_j⟩
+// over the top-s eigenpairs, and d̂ is Euclidean distance, so
+// d(x,y)^2 = Σ_j λ_j⟨x-y, v_j⟩^2 >= Σ_{j<s} λ_j⟨x-y, v_j⟩^2 = d̂(x̂,ŷ)^2;
+// s = 3 is the paper's "dimension 3 color vector". The captured energy
+// Σ_{j<s} λ_j / Σ_j λ_j is the share of the quadratic form's eigenmass the
+// summary keeps; the filter prunes better as it approaches 1.
+//
 // CascadeKnn() exploits (2) end to end: a cheap s-dim prefix bound orders
 // the candidates, then each surviving candidate is refined
 // dimension-incrementally with early exit as soon as its partial sum
-// provably exceeds the current k-th best. This generalizes the two-level
-// FilteredKnn of bounding.h (project-3-dims, then full O(k^2) distance) into
-// a multi-level filter whose refinement work per candidate is proportional
-// to how close the candidate actually is.
+// provably exceeds the current k-th best. The paper's two-level filter
+// (bound every object by d̂, refine candidates in ascending d̂ with the full
+// distance, stop once d̂ exceeds the k-th best) is the options
+// {.prefix_dim = s, .step = dim(), .use_quantized = false}: every object
+// gets one s-dim bound and every refined candidate goes straight to full
+// depth. Smaller steps make it a multi-level filter whose refinement work
+// per candidate is proportional to how close the candidate actually is.
 
 #ifndef FUZZYDB_IMAGE_EMBEDDING_STORE_H_
 #define FUZZYDB_IMAGE_EMBEDDING_STORE_H_

@@ -18,7 +18,7 @@ constexpr size_t kRefineStep = 4;
 }  // namespace
 
 Result<GeminiIndex> GeminiIndex::Build(
-    const QuadraticFormDistance* qfd, EigenFilter filter,
+    const QuadraticFormDistance* qfd, size_t summary_dim,
     const std::vector<Histogram>* database) {
   if (qfd == nullptr || database == nullptr) {
     return Status::InvalidArgument("null qfd or database");
@@ -26,10 +26,12 @@ Result<GeminiIndex> GeminiIndex::Build(
   if (database->empty()) {
     return Status::InvalidArgument("empty database");
   }
+  if (summary_dim == 0) {
+    return Status::InvalidArgument("summary dim must be >= 1");
+  }
   GeminiIndex index;
   index.qfd_ = qfd;
-  index.filter_ = std::move(filter);
-  index.database_ = database;
+  index.summary_dim_ = std::min(summary_dim, qfd->dimension());
 
   // Every summary coordinate j satisfies |x̂_j| <= sqrt(λ_j)|x|_2 <=
   // sqrt(λ_max); map uniformly into [0,1] with a safety margin so rounding
@@ -43,9 +45,9 @@ Result<GeminiIndex> GeminiIndex::Build(
   if (!embeddings.ok()) return embeddings.status();
   index.embeddings_ = std::move(embeddings).value();
 
-  // The filter summary is the first dim coordinates of the full embedding,
-  // so the R-tree keys come straight out of the embedding rows.
-  const size_t dim = index.filter_.dim();
+  // The summary is the first dim coordinates of the full embedding, so the
+  // R-tree keys come straight out of the embedding rows.
+  const size_t dim = index.summary_dim_;
   std::vector<ObjectId> ids(database->size());
   std::vector<double> coords(database->size() * dim);
   for (size_t i = 0; i < database->size(); ++i) {
@@ -64,14 +66,14 @@ Result<GeminiIndex> GeminiIndex::Build(
 }
 
 Result<std::vector<std::pair<size_t, double>>> GeminiIndex::Knn(
-    const Histogram& target, size_t k, FilteredSearchStats* stats) const {
+    const Histogram& target, size_t k, CascadeStats* stats) const {
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  k = std::min(k, database_->size());
+  k = std::min(k, size());
 
   // One O(k^2) projection of the target; its prefix is the R-tree query
   // point and its full length powers the O(k) refinements below.
   std::vector<double> target_embedding = qfd_->Embed(target);
-  std::vector<double> unit(filter_.dim());
+  std::vector<double> unit(summary_dim_);
   for (size_t j = 0; j < unit.size(); ++j) {
     unit[j] = std::clamp((target_embedding[j] + offset_) * scale_, 0.0, 1.0);
   }
@@ -81,7 +83,7 @@ Result<std::vector<std::pair<size_t, double>>> GeminiIndex::Knn(
   double kth2 = std::numeric_limits<double>::infinity();  // worst kept d^2
   double kth = std::numeric_limits<double>::infinity();   // its sqrt
   size_t full_refinements = 0;
-  size_t partial_refinements = 0;
+  size_t candidates_refined = 0;
   const size_t dim = embeddings_.dim();
   auto worst_it = [&best]() {
     return std::max_element(best.begin(), best.end(),
@@ -98,7 +100,7 @@ Result<std::vector<std::pair<size_t, double>>> GeminiIndex::Knn(
     // bound on d^2 at every depth — exceeds the current k-th best. A pruned candidate would have been
     // rejected by the full comparison too, so results are unchanged.
     const double* row = embeddings_.Row(idx).data();
-    ++partial_refinements;  // pruned or not, this candidate costs work
+    ++candidates_refined;  // pruned or not, this candidate costs work
     SquaredDistanceAccumulator acc;
     size_t j = 0;
     bool pruned = false;
@@ -124,9 +126,9 @@ Result<std::vector<std::pair<size_t, double>>> GeminiIndex::Knn(
     }
   }
   if (stats != nullptr) {
-    stats->full_distance_computations = full_refinements;
     stats->bound_computations = it.stats().distance_computations;
-    stats->partial_refinements = partial_refinements;
+    stats->candidates_refined = candidates_refined;
+    stats->full_distance_computations = full_refinements;
   }
   std::sort(best.begin(), best.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second < b.second;

@@ -7,8 +7,9 @@
 // quadratic form — and stop as soon as the summary distance exceeds the
 // current k-th best full distance.
 // The lower-bounding property d >= d̂ guarantees no false dismissals, and
-// the R-tree replaces FilteredKnn's per-query O(N log N) summary sort with
-// sub-linear index traversal.
+// the R-tree replaces the flat filter's scan of every summary
+// (EmbeddingStore::CascadeKnn with step = dim) with sub-linear index
+// traversal.
 
 #ifndef FUZZYDB_IMAGE_INDEXED_SEARCH_H_
 #define FUZZYDB_IMAGE_INDEXED_SEARCH_H_
@@ -16,31 +17,34 @@
 #include <memory>
 #include <vector>
 
-#include "image/bounding.h"
 #include "image/embedding_store.h"
 #include "index/rtree.h"
 
 namespace fuzzydb {
 
-/// An R-tree over the eigen-filter summaries of an image collection.
+/// An R-tree over the eigen summaries x̂ (the first summary_dim() embedding
+/// coordinates) of an image collection.
 class GeminiIndex {
  public:
   /// Projects every histogram and bulk-loads the summaries (affinely mapped
   /// into the R-tree's unit box; the map is a uniform scaling, so nearest
-  /// order and the bound property survive).
+  /// order and the bound property survive). `summary_dim` is clamped to the
+  /// embedding dimension; 0 is InvalidArgument. `database` is read only
+  /// here.
   static Result<GeminiIndex> Build(const QuadraticFormDistance* qfd,
-                                   EigenFilter filter,
+                                   size_t summary_dim,
                                    const std::vector<Histogram>* database);
 
   /// Exact top-k most-similar search; results ascending by full distance,
-  /// ties by index. `stats` counts full-distance refinements and summary
-  /// work.
+  /// ties by index. `stats` gets bound_computations (summary distances the
+  /// R-tree iterator evaluated), candidates_refined (candidates that
+  /// entered refinement, pruned mid-row or not) and
+  /// full_distance_computations (refinements carried to full depth).
   Result<std::vector<std::pair<size_t, double>>> Knn(
-      const Histogram& target, size_t k,
-      FilteredSearchStats* stats = nullptr) const;
+      const Histogram& target, size_t k, CascadeStats* stats = nullptr) const;
 
-  size_t size() const { return database_->size(); }
-  const EigenFilter& filter() const { return filter_; }
+  size_t size() const { return embeddings_.size(); }
+  size_t summary_dim() const { return summary_dim_; }
 
   // Accessors for index-driven sorted access (rtree_source.h): the driver
   // streams the R-tree's incremental neighbours and refines them against
@@ -58,10 +62,9 @@ class GeminiIndex {
   GeminiIndex() = default;
 
   const QuadraticFormDistance* qfd_ = nullptr;
-  EigenFilter filter_;
-  const std::vector<Histogram>* database_ = nullptr;
+  size_t summary_dim_ = 0;
   // Full eigen-space embeddings of the database, built once at Build():
-  // the R-tree keys are their first filter_.dim() coordinates, and
+  // the R-tree keys are their first summary_dim_ coordinates, and
   // refinement is O(k) Euclidean distance over rows instead of an O(k^2)
   // quadratic form per candidate.
   EmbeddingStore embeddings_;

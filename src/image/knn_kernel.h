@@ -57,8 +57,8 @@ struct CascadeStats {
   size_t bound_computations = 0;
   /// Candidates refined past the level-0 prefix bound.
   size_t candidates_refined = 0;
-  /// Refinements carried to the full embedding dimension — the analogue of
-  /// FilteredSearchStats::full_distance_computations.
+  /// Refinements carried to the full embedding dimension: the paper's full
+  /// distance evaluations (with step = dim, every refined candidate).
   size_t full_distance_computations = 0;
   /// Total embedding dimensions accumulated past level 0, across all
   /// candidates (the cascade's actual refinement work).

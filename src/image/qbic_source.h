@@ -8,7 +8,6 @@
 
 #include <string>
 
-#include "image/bounding.h"
 #include "image/image_store.h"
 #include "middleware/materialized_source.h"
 

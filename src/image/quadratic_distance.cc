@@ -93,4 +93,21 @@ std::vector<double> QuadraticFormDistance::Embed(const Histogram& x) const {
   return out;
 }
 
+std::vector<std::pair<size_t, double>> ExactKnn(
+    const QuadraticFormDistance& qfd, const std::vector<Histogram>& database,
+    const Histogram& target, size_t k) {
+  std::vector<std::pair<size_t, double>> all(database.size());
+  for (size_t i = 0; i < database.size(); ++i) {
+    all[i] = {i, qfd.Distance(database[i], target)};
+  }
+  k = std::min(k, all.size());
+  std::partial_sort(all.begin(), all.begin() + static_cast<long>(k), all.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.second != b.second) return a.second < b.second;
+                      return a.first < b.first;
+                    });
+  all.resize(k);
+  return all;
+}
+
 }  // namespace fuzzydb

@@ -27,6 +27,9 @@
 #ifndef FUZZYDB_IMAGE_QUADRATIC_DISTANCE_H_
 #define FUZZYDB_IMAGE_QUADRATIC_DISTANCE_H_
 
+#include <utility>
+#include <vector>
+
 #include "common/matrix.h"
 #include "image/color.h"
 
@@ -55,8 +58,8 @@ class QuadraticFormDistance {
   std::vector<double> Embed(const Histogram& x) const;
 
   /// Row j is sqrt(λ_j)·v_j — the embedding is the matrix-vector product of
-  /// this basis with the histogram. The distance-bounding filter's rows are
-  /// exactly the first rows of this matrix.
+  /// this basis with the histogram. The distance-bounding filter's summary
+  /// x̂ is the product with the first s rows of this matrix.
   const Matrix& embedding_basis() const { return embedding_basis_; }
 
   /// An upper bound on Distance over all pairs of histograms:
@@ -81,6 +84,14 @@ class QuadraticFormDistance {
   Matrix embedding_basis_;    // row j = sqrt(λ_j) * v_j
   double max_distance_ = 0.0;
 };
+
+/// The reference top-k: Distance() to every histogram of `database`, the k
+/// smallest kept, ascending, ties by index. Evaluates the quadratic form
+/// directly, independent of the embedding, so it checks the embedded
+/// searches against formula (1) itself.
+std::vector<std::pair<size_t, double>> ExactKnn(
+    const QuadraticFormDistance& qfd, const std::vector<Histogram>& database,
+    const Histogram& target, size_t k);
 
 }  // namespace fuzzydb
 

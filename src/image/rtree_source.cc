@@ -44,7 +44,7 @@ Result<RtreeKnnSource> RtreeKnnSource::Create(const GeminiIndex* index,
   // One O(bins^2) projection; its prefix is the R-tree query point, its full
   // length powers every refinement and random access.
   src.target_embedding_ = index->qfd().Embed(target);
-  src.unit_query_.resize(index->filter().dim());
+  src.unit_query_.resize(index->summary_dim());
   for (size_t j = 0; j < src.unit_query_.size(); ++j) {
     src.unit_query_[j] = std::clamp(
         (src.target_embedding_[j] + index->offset()) * index->scale(), 0.0,

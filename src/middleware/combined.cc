@@ -151,7 +151,7 @@ Result<TopKResult> CombinedTopK(std::span<GradedSource* const> sources,
 
   if (winners.empty()) {
     for (const auto& [id, p] : seen) {
-      winners.push_back({id, lower_of(p), lower_of(p), p.num_known == m});
+      winners.push_back({id, lower_of(p), lower_of(p)});
     }
     std::sort(winners.begin(), winners.end(),
               [](const Bounded& a, const Bounded& b) {
@@ -161,10 +161,14 @@ Result<TopKResult> CombinedTopK(std::span<GradedSource* const> sources,
     if (winners.size() > k) winners.resize(k);
   }
 
+  // Exact once every list has graded the winner or run out (see nra.cc).
   result.grades_exact = true;
   for (const Bounded& w : winners) {
     result.items.push_back({w.id, w.lower});
-    if (!w.complete) result.grades_exact = false;
+    const Partial& p = seen.at(w.id);
+    for (size_t j = 0; j < m; ++j) {
+      if (!p.known[j] && !done[j]) result.grades_exact = false;
+    }
   }
   std::sort(result.items.begin(), result.items.end(), GradeDescending);
   set.Finalize(&result);

@@ -13,7 +13,6 @@ namespace {
 struct Partial {
   std::vector<double> grades;  // known per-list grades
   std::vector<bool> known;
-  size_t num_known = 0;
 };
 
 }  // namespace
@@ -52,7 +51,6 @@ Result<TopKResult> NoRandomAccessTopK(std::span<GradedSource* const> sources,
     ObjectId id = 0;
     double lower = 0.0;
     double upper = 0.0;
-    bool complete = false;
   };
   std::vector<Bounded> winners;
   double prev_unseen_upper = 1.0;
@@ -79,7 +77,6 @@ Result<TopKResult> NoRandomAccessTopK(std::span<GradedSource* const> sources,
       if (!p.known[j]) {
         p.known[j] = true;
         p.grades[j] = next->grade;
-        ++p.num_known;
       }
     }
 
@@ -90,7 +87,7 @@ Result<TopKResult> NoRandomAccessTopK(std::span<GradedSource* const> sources,
     std::vector<Bounded> bounds;
     bounds.reserve(seen.size());
     for (const auto& [id, p] : seen) {
-      bounds.push_back({id, lower_of(p), upper_of(p), p.num_known == m});
+      bounds.push_back({id, lower_of(p), upper_of(p)});
       // A monotone rule applied to known-or-0 grades can never exceed the
       // same rule applied to known-or-last_seen grades.
       FUZZYDB_INVARIANT(bounds.back().lower <= bounds.back().upper + 1e-12,
@@ -128,7 +125,7 @@ Result<TopKResult> NoRandomAccessTopK(std::span<GradedSource* const> sources,
   if (winners.empty()) {
     // Exhausted every list: all grades are fully known; lower == exact.
     for (const auto& [id, p] : seen) {
-      winners.push_back({id, lower_of(p), lower_of(p), true});
+      winners.push_back({id, lower_of(p), lower_of(p)});
     }
     std::sort(winners.begin(), winners.end(),
               [](const Bounded& a, const Bounded& b) {
@@ -138,10 +135,17 @@ Result<TopKResult> NoRandomAccessTopK(std::span<GradedSource* const> sources,
     if (winners.size() > k) winners.resize(k);
   }
 
+  // A winner's lower bound is its exact grade once every list has either
+  // graded it or run out: an object missing from an exhausted list has
+  // grade 0 there (Fagin, Lotem and Naor, "Optimal Aggregation Algorithms
+  // for Middleware"), the value lower_of already uses.
   result.grades_exact = true;
   for (const Bounded& w : winners) {
     result.items.push_back({w.id, w.lower});
-    if (!w.complete) result.grades_exact = false;
+    const Partial& p = seen.at(w.id);
+    for (size_t j = 0; j < m; ++j) {
+      if (!p.known[j] && !done[j]) result.grades_exact = false;
+    }
   }
   std::sort(result.items.begin(), result.items.end(), GradeDescending);
   set.Finalize(&result);

@@ -1,10 +1,9 @@
-// Quadratic-form distance (paper formula (1)) and the distance-bounding
-// filter (paper formula (2), d >= d̂): metric sanity, PSD structure, the
-// no-false-dismissal property, and FilteredKnn == ExactKnn.
+// Quadratic-form distance (paper formula (1)): metric sanity and PSD
+// structure. The distance-bounding filter (formula (2)) over its eigen
+// embedding is tested in image_embedding_test.
 
 #include <gtest/gtest.h>
 
-#include "image/bounding.h"
 #include "image/quadratic_distance.h"
 
 namespace fuzzydb {
@@ -107,114 +106,25 @@ INSTANTIATE_TEST_SUITE_P(BinCounts, QfdTest,
                            return name;
                          });
 
-class EigenFilterTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(EigenFilterTest, LowerBoundsTheTrueDistance) {
-  // Paper formula (2): d(x,y) >= d̂(x̂,ŷ) for every pair — the filter can
-  // never cause a false dismissal.
-  const size_t filter_dim = GetParam();
-  Rng rng(457);
-  Palette palette = Palette::Uniform(64, &rng);
-  QuadraticFormDistance qfd = *QuadraticFormDistance::Create(palette);
-  Result<EigenFilter> filter = EigenFilter::Create(qfd, filter_dim);
-  ASSERT_TRUE(filter.ok());
-  for (int i = 0; i < 300; ++i) {
-    Histogram x = RandomHistogram(&rng, 64);
-    Histogram y = RandomHistogram(&rng, 64);
-    double d = qfd.Distance(x, y);
-    double bound = EigenFilter::BoundDistance(filter->Project(x),
-                                              filter->Project(y));
-    EXPECT_LE(bound, d + 1e-9) << "filter dim " << filter_dim;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Dims, EigenFilterTest, ::testing::Values(1, 3, 8),
-                         [](const auto& info) {
-                           std::string name = "dim";
-                           name += std::to_string(info.param);
-                           return name;
-                         });
-
-TEST(EigenFilterTest, CapturedEnergyGrowsWithDimension) {
-  Rng rng(461);
-  Palette palette = Palette::Uniform(64, &rng);
-  QuadraticFormDistance qfd = *QuadraticFormDistance::Create(palette);
-  double prev = 0.0;
-  for (size_t dim : {1u, 2u, 4u, 8u, 64u}) {
-    EigenFilter f = *EigenFilter::Create(qfd, dim);
-    EXPECT_GE(f.CapturedEnergy(), prev - 1e-12);
-    prev = f.CapturedEnergy();
-  }
-  EXPECT_NEAR(prev, 1.0, 1e-9);  // full dimension captures everything
-  EXPECT_FALSE(EigenFilter::Create(qfd, 0).ok());
-}
-
-TEST(FilteredKnnTest, MatchesExactKnn) {
-  Rng rng(463);
-  Palette palette = Palette::Uniform(64, &rng);
-  QuadraticFormDistance qfd = *QuadraticFormDistance::Create(palette);
-  EigenFilter filter = *EigenFilter::Create(qfd, 3);
-  std::vector<Histogram> db;
-  for (int i = 0; i < 400; ++i) db.push_back(RandomHistogram(&rng, 64));
-  for (int q = 0; q < 5; ++q) {
-    Histogram target = RandomHistogram(&rng, 64);
-    FilteredSearchStats stats;
-    Result<std::vector<std::pair<size_t, double>>> filtered =
-        FilteredKnn(qfd, filter, db, target, 10, &stats);
-    ASSERT_TRUE(filtered.ok());
-    std::vector<std::pair<size_t, double>> exact =
-        ExactKnn(qfd, db, target, 10);
-    ASSERT_EQ(filtered->size(), exact.size());
-    for (size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_EQ((*filtered)[i].first, exact[i].first) << "rank " << i;
-      EXPECT_NEAR((*filtered)[i].second, exact[i].second, 1e-12);
-    }
-    // The filter must actually skip work.
-    EXPECT_LT(stats.full_distance_computations, db.size());
-    EXPECT_EQ(stats.bound_computations, db.size());
-  }
-}
-
-TEST(FilteredKnnTest, DuplicateDistancesBreakTiesByIndex) {
-  // Repeated histograms make the k-th best distance a massive tie; the
-  // answer must still be deterministic (distance ascending, then index) and
-  // identical to the exact scan.
+TEST(ExactKnnTest, SortsByDistanceThenIndexAndClampsK) {
+  // Repeated histograms make most distances ties; the reference scan must
+  // order them by index.
   Rng rng(479);
   Palette palette = Palette::Uniform(27, &rng);
   QuadraticFormDistance qfd = *QuadraticFormDistance::Create(palette);
-  EigenFilter filter = *EigenFilter::Create(qfd, 3);
-  std::vector<Histogram> distinct;
-  for (int i = 0; i < 4; ++i) distinct.push_back(RandomHistogram(&rng, 27));
   std::vector<Histogram> db;
-  for (int copy = 0; copy < 15; ++copy) {
-    for (const Histogram& h : distinct) db.push_back(h);
+  for (int i = 0; i < 60; ++i) {
+    db.push_back(i < 4 ? RandomHistogram(&rng, 27) : db[i % 4]);
   }
-  Histogram target = distinct[1];
-  Result<std::vector<std::pair<size_t, double>>> filtered =
-      FilteredKnn(qfd, filter, db, target, 20);
-  ASSERT_TRUE(filtered.ok());
-  std::vector<std::pair<size_t, double>> exact = ExactKnn(qfd, db, target, 20);
-  ASSERT_EQ(filtered->size(), exact.size());
-  for (size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_EQ((*filtered)[i].first, exact[i].first) << "rank " << i;
-    if (i > 0 && exact[i].second == exact[i - 1].second) {
-      EXPECT_LT(exact[i - 1].first, exact[i].first);
-    }
+  std::vector<std::pair<size_t, double>> all = ExactKnn(qfd, db, db[1], 100);
+  ASSERT_EQ(all.size(), db.size());  // k clamps to the database size
+  EXPECT_EQ(all[0], std::make_pair(size_t{1}, 0.0));
+  for (size_t i = 1; i < all.size(); ++i) {
+    EXPECT_LT(std::pair(all[i - 1].second, all[i - 1].first),
+              std::pair(all[i].second, all[i].first))
+        << "rank " << i;
   }
-}
-
-TEST(FilteredKnnTest, HandlesEdgeCases) {
-  Rng rng(467);
-  Palette palette = Palette::Uniform(8, &rng);
-  QuadraticFormDistance qfd = *QuadraticFormDistance::Create(palette);
-  EigenFilter filter = *EigenFilter::Create(qfd, 2);
-  std::vector<Histogram> db{RandomHistogram(&rng, 8)};
-  Histogram target = RandomHistogram(&rng, 8);
-  EXPECT_FALSE(FilteredKnn(qfd, filter, db, target, 0).ok());
-  Result<std::vector<std::pair<size_t, double>>> r =
-      FilteredKnn(qfd, filter, db, target, 5);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->size(), 1u);  // k clamped to database size
+  EXPECT_TRUE(ExactKnn(qfd, db, db[1], 0).empty());
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
-#include "image/bounding.h"
 #include "image/image_store.h"
 #include "tests/cascade_reference.h"
 
@@ -136,6 +136,11 @@ class CascadeTest : public ::testing::Test {
     }
   }
 
+  // The paper's two-level filter (§2.1): a 3-dim summary bound for every
+  // object, then each candidate refined straight to the full 64 dims.
+  static constexpr CascadeOptions kTwoLevel{
+      .prefix_dim = 3, .step = 64, .use_quantized = false};
+
   Palette palette_;
   QuadraticFormDistance qfd_;
   std::vector<Histogram> db_;
@@ -149,13 +154,15 @@ TEST_F(CascadeTest, MatchesExactKnnAcrossOptionsAndQueries) {
     std::vector<std::pair<size_t, double>> exact = store_.ExactKnn(target, 10);
     for (CascadeOptions options :
          {CascadeOptions{1, 1}, CascadeOptions{3, 7}, CascadeOptions{8, 16},
-          CascadeOptions{64, 16}}) {
+          CascadeOptions{64, 16}, kTwoLevel}) {
       CascadeStats stats;
       ExpectIdentical(store_.CascadeKnn(target, 10, options, &stats), exact);
       // Level -1 scans every object; the float prefix bound then runs only
       // for the survivors the int8 bound could not dismiss.
-      EXPECT_EQ(stats.quantized_bound_computations, db_.size());
-      EXPECT_LE(stats.bound_computations, db_.size());
+      if (options.use_quantized) {
+        EXPECT_EQ(stats.quantized_bound_computations, db_.size());
+        EXPECT_LE(stats.bound_computations, db_.size());
+      }
       options.use_quantized = false;
       CascadeStats fstats;
       ExpectIdentical(store_.CascadeKnn(target, 10, options, &fstats), exact);
@@ -173,29 +180,47 @@ TEST_F(CascadeTest, MatchesLegacyExactKnnIndicesWithin1e9) {
     Histogram target = RandomHistogram(&rng, 64);
     std::vector<std::pair<size_t, double>> legacy =
         ExactKnn(qfd_, db_, target, 10);
-    std::vector<std::pair<size_t, double>> cascade =
-        store_.CascadeKnn(qfd_.Embed(target), 10);
-    ASSERT_EQ(cascade.size(), legacy.size());
-    for (size_t i = 0; i < legacy.size(); ++i) {
-      EXPECT_EQ(cascade[i].first, legacy[i].first) << "rank " << i;
-      EXPECT_NEAR(cascade[i].second, legacy[i].second, 1e-9);
+    for (const CascadeOptions& options : {CascadeOptions{}, kTwoLevel}) {
+      std::vector<std::pair<size_t, double>> cascade =
+          store_.CascadeKnn(qfd_.Embed(target), 10, options);
+      ASSERT_EQ(cascade.size(), legacy.size());
+      for (size_t i = 0; i < legacy.size(); ++i) {
+        EXPECT_EQ(cascade[i].first, legacy[i].first) << "rank " << i;
+        EXPECT_NEAR(cascade[i].second, legacy[i].second, 1e-9);
+      }
     }
+  }
+}
+
+TEST_F(CascadeTest, TwoLevelFilterBoundsEveryRowAndRefinesToFullDepth) {
+  Rng rng(1043);
+  for (int q = 0; q < 5; ++q) {
+    CascadeStats stats;
+    store_.CascadeKnn(qfd_.Embed(RandomHistogram(&rng, 64)), 10, kTwoLevel,
+                      &stats);
+    // One summary bound per object, no int8 level; every candidate that
+    // passes the bound is carried to the full distance, and the filter
+    // skips most of them.
+    EXPECT_EQ(stats.quantized_bound_computations, 0u);
+    EXPECT_EQ(stats.bound_computations, db_.size());
+    EXPECT_EQ(stats.candidates_refined, stats.full_distance_computations);
+    EXPECT_EQ(stats.dims_accumulated,
+              stats.full_distance_computations * (64 - 3));
+    EXPECT_LT(stats.full_distance_computations, db_.size());
   }
 }
 
 TEST_F(CascadeTest, RefinesFarFewerCandidatesThanTwoLevelFilter) {
   Rng rng(1049);
-  EigenFilter filter = *EigenFilter::Create(qfd_, 3);
   size_t two_level_full = 0;
   size_t cascade_full = 0;
   for (int q = 0; q < 5; ++q) {
-    Histogram target = RandomHistogram(&rng, 64);
-    FilteredSearchStats filtered_stats;
-    ASSERT_TRUE(
-        FilteredKnn(qfd_, filter, db_, target, 10, &filtered_stats).ok());
+    std::vector<double> target = qfd_.Embed(RandomHistogram(&rng, 64));
+    CascadeStats two_level_stats;
+    store_.CascadeKnn(target, 10, kTwoLevel, &two_level_stats);
     CascadeStats cascade_stats;
-    store_.CascadeKnn(qfd_.Embed(target), 10, {}, &cascade_stats);
-    two_level_full += filtered_stats.full_distance_computations;
+    store_.CascadeKnn(target, 10, {}, &cascade_stats);
+    two_level_full += two_level_stats.full_distance_computations;
     cascade_full += cascade_stats.full_distance_computations;
   }
   // Equal recall (both exact); the cascade must carry fewer candidates to
@@ -242,7 +267,8 @@ TEST_F(CascadeTest, DuplicateDistancesBreakTiesByIndexDeterministically) {
     }
   }
   for (CascadeOptions options :
-       {CascadeOptions{1, 4}, CascadeOptions{8, 16}, CascadeOptions{64, 16}}) {
+       {CascadeOptions{1, 4}, CascadeOptions{8, 16}, CascadeOptions{64, 16},
+        kTwoLevel}) {
     ExpectIdentical(store.CascadeKnn(target, 23, options), exact);
   }
 }
@@ -258,8 +284,9 @@ TEST(CascadeDegenerateTest, FlatSpectrumPaletteStaysExact) {
                                                  {0.0, 1.0, 1.0}});
   ASSERT_TRUE(palette.ok());
   QuadraticFormDistance qfd = *QuadraticFormDistance::Create(*palette);
-  EigenFilter filter = *EigenFilter::Create(qfd, 1);
-  EXPECT_NEAR(filter.CapturedEnergy(), 1.0 / 3.0, 1e-6);
+  const std::vector<double>& lambda = qfd.eigenvalues();
+  EXPECT_NEAR(lambda[0] / std::accumulate(lambda.begin(), lambda.end(), 0.0),
+              1.0 / 3.0, 1e-6);
 
   Rng rng(1061);
   std::vector<Histogram> db = RandomDatabase(&rng, 200, 4);
@@ -276,12 +303,14 @@ TEST(CascadeDegenerateTest, FlatSpectrumPaletteStaysExact) {
       EXPECT_EQ(cascade[i].first, exact[i].first);
       EXPECT_EQ(cascade[i].second, exact[i].second);
     }
-    // The legacy two-level filter must also stay exact here.
-    Result<std::vector<std::pair<size_t, double>>> filtered =
-        FilteredKnn(qfd, filter, db, target, 10);
-    ASSERT_TRUE(filtered.ok());
+    // The two-level filter over a 1-dim summary must also stay exact here.
+    std::vector<std::pair<size_t, double>> filtered = store.CascadeKnn(
+        target_embedding, 10,
+        {.prefix_dim = 1, .step = 4, .use_quantized = false});
+    ASSERT_EQ(filtered.size(), exact.size());
     for (size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_EQ((*filtered)[i].first, exact[i].first);
+      EXPECT_EQ(filtered[i].first, exact[i].first);
+      EXPECT_EQ(filtered[i].second, exact[i].second);
     }
   }
 }

@@ -79,21 +79,26 @@ class GeminiTest : public ::testing::Test {
 };
 
 TEST_F(GeminiTest, BuildValidates) {
-  EigenFilter filter = *EigenFilter::Create(qfd_, 3);
-  EXPECT_FALSE(GeminiIndex::Build(nullptr, filter, &db_).ok());
-  EXPECT_FALSE(GeminiIndex::Build(&qfd_, filter, nullptr).ok());
+  EXPECT_FALSE(GeminiIndex::Build(nullptr, 3, &db_).ok());
+  EXPECT_FALSE(GeminiIndex::Build(&qfd_, 3, nullptr).ok());
   std::vector<Histogram> empty;
-  EXPECT_FALSE(GeminiIndex::Build(&qfd_, filter, &empty).ok());
+  EXPECT_FALSE(GeminiIndex::Build(&qfd_, 3, &empty).ok());
+  EXPECT_EQ(GeminiIndex::Build(&qfd_, 0, &db_).status().code(),
+            StatusCode::kInvalidArgument);
+  // The summary dimension clamps to the embedding dimension.
+  Result<GeminiIndex> wide = GeminiIndex::Build(&qfd_, 1000, &db_);
+  ASSERT_TRUE(wide.ok());
+  EXPECT_EQ(wide->summary_dim(), 64u);
+  EXPECT_EQ(wide->size(), db_.size());
 }
 
 TEST_F(GeminiTest, KnnMatchesExactSearch) {
-  EigenFilter filter = *EigenFilter::Create(qfd_, 3);
-  Result<GeminiIndex> index = GeminiIndex::Build(&qfd_, filter, &db_);
+  Result<GeminiIndex> index = GeminiIndex::Build(&qfd_, 3, &db_);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   Rng rng(983);
   for (int q = 0; q < 8; ++q) {
     Histogram target = RandomHistogram(&rng, 64);
-    FilteredSearchStats stats;
+    CascadeStats stats;
     Result<std::vector<std::pair<size_t, double>>> got =
         index->Knn(target, 10, &stats);
     ASSERT_TRUE(got.ok());
@@ -110,15 +115,14 @@ TEST_F(GeminiTest, KnnMatchesExactSearch) {
     EXPECT_LT(stats.full_distance_computations, db_.size() / 2);
     // Every candidate that entered refinement is accounted for: the pruned
     // ones (abandoned mid-row) used to vanish from the cost tables.
-    EXPECT_GE(stats.partial_refinements, stats.full_distance_computations);
-    EXPECT_LE(stats.partial_refinements, stats.bound_computations);
+    EXPECT_GE(stats.candidates_refined, stats.full_distance_computations);
+    EXPECT_LE(stats.candidates_refined, stats.bound_computations);
   }
   EXPECT_FALSE(index->Knn(db_[0], 0).ok());
 }
 
 TEST_F(GeminiTest, KLargerThanDatabaseClamps) {
-  EigenFilter filter = *EigenFilter::Create(qfd_, 2);
-  Result<GeminiIndex> index = GeminiIndex::Build(&qfd_, filter, &db_);
+  Result<GeminiIndex> index = GeminiIndex::Build(&qfd_, 2, &db_);
   ASSERT_TRUE(index.ok());
   Result<std::vector<std::pair<size_t, double>>> all =
       index->Knn(db_[0], 10000);
@@ -129,26 +133,27 @@ TEST_F(GeminiTest, KLargerThanDatabaseClamps) {
   EXPECT_NEAR((*all)[0].second, 0.0, 1e-9);
 }
 
-TEST_F(GeminiTest, AgreesWithFilteredKnnAndDoesLessSummaryWork) {
-  EigenFilter filter = *EigenFilter::Create(qfd_, 3);
-  Result<GeminiIndex> index = GeminiIndex::Build(&qfd_, filter, &db_);
+TEST_F(GeminiTest, AgreesWithTheFlatFilterAndDoesLessSummaryWork) {
+  Result<GeminiIndex> index = GeminiIndex::Build(&qfd_, 3, &db_);
   ASSERT_TRUE(index.ok());
   Rng rng(991);
   Histogram target = RandomHistogram(&rng, 64);
-  FilteredSearchStats flat_stats, gemini_stats;
-  auto flat = FilteredKnn(qfd_, filter, db_, target, 10, &flat_stats);
+  // The flat two-level filter over the same 3-dim summaries.
+  CascadeStats flat_stats, gemini_stats;
+  auto flat = index->embeddings().CascadeKnn(
+      qfd_.Embed(target), 10,
+      {.prefix_dim = 3, .step = 64, .use_quantized = false}, &flat_stats);
   auto via_index = index->Knn(target, 10, &gemini_stats);
-  ASSERT_TRUE(flat.ok() && via_index.ok());
-  for (size_t i = 0; i < flat->size(); ++i) {
-    EXPECT_EQ((*flat)[i].first, (*via_index)[i].first);
+  ASSERT_TRUE(via_index.ok());
+  ASSERT_EQ(flat.size(), via_index->size());
+  for (size_t i = 0; i < flat.size(); ++i) {
+    EXPECT_EQ(flat[i].first, (*via_index)[i].first);
   }
-  // The flat filter projects every database object per query; the index
+  // The flat filter bounds every database object per query; the index
   // visits only part of the summary space.
   EXPECT_EQ(flat_stats.bound_computations, db_.size());
   EXPECT_LT(gemini_stats.bound_computations, db_.size());
-  EXPECT_GE(flat_stats.partial_refinements,
-            flat_stats.full_distance_computations);
-  EXPECT_GE(gemini_stats.partial_refinements,
+  EXPECT_GE(gemini_stats.candidates_refined,
             gemini_stats.full_distance_computations);
 }
 

@@ -95,7 +95,8 @@ TEST_F(ParallelKernelTest, CascadeKnnBitIdenticalAcrossShardCounts) {
   ThreadPool pool(4);
   for (const std::vector<double>& target : targets_) {
     for (CascadeOptions options :
-         {CascadeOptions{1, 1}, CascadeOptions{8, 16}, CascadeOptions{64, 16}}) {
+         {CascadeOptions{1, 1}, CascadeOptions{8, 16}, CascadeOptions{64, 16},
+          CascadeOptions{3, 64, false}}) {
       std::vector<std::pair<size_t, double>> serial =
           store_.CascadeKnn(target, 10, options);
       for (size_t shards : ShardCounts()) {
@@ -104,10 +105,17 @@ TEST_F(ParallelKernelTest, CascadeKnnBitIdenticalAcrossShardCounts) {
           ExpectIdentical(
               store_.CascadeKnn(target, 10, options, &stats, p, shards),
               serial, "cascade shards=" + std::to_string(shards));
-          // Every row passes the int8 level -1 exactly once regardless of
-          // sharding; the float prefix bound runs only for its survivors.
-          EXPECT_EQ(stats.quantized_bound_computations, store_.size());
-          EXPECT_LE(stats.bound_computations, store_.size());
+          // Every row passes the level that orders the walk exactly once
+          // regardless of sharding: the int8 level -1, after which the
+          // float prefix bound runs only for its survivors, or else the
+          // float prefix bound itself.
+          if (options.use_quantized) {
+            EXPECT_EQ(stats.quantized_bound_computations, store_.size());
+            EXPECT_LE(stats.bound_computations, store_.size());
+          } else {
+            EXPECT_EQ(stats.quantized_bound_computations, 0u);
+            EXPECT_EQ(stats.bound_computations, store_.size());
+          }
         }
       }
     }

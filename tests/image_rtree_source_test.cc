@@ -76,11 +76,8 @@ class RtreeSourceTest : public ::testing::Test {
       histograms_.push_back(rec.histogram);
       ids_.push_back(rec.id);
     }
-    Result<EigenFilter> filter =
-        EigenFilter::Create(store_->color_distance(), 4);
-    ASSERT_TRUE(filter.ok());
-    Result<GeminiIndex> index = GeminiIndex::Build(
-        &store_->color_distance(), std::move(*filter), &histograms_);
+    Result<GeminiIndex> index =
+        GeminiIndex::Build(&store_->color_distance(), 4, &histograms_);
     ASSERT_TRUE(index.ok());
     index_ = std::make_unique<GeminiIndex>(std::move(*index));
 

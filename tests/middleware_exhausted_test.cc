@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "middleware/combined.h"
 #include "middleware/fagin.h"
 #include "middleware/naive.h"
 #include "middleware/nra.h"
@@ -113,6 +114,37 @@ TEST(ExhaustedSourcesTest, AllAlgorithmsAgreeOnUnequalLists) {
   std::vector<GradedObject> expected = truth->TopK(kK);
   for (const GradedObject& g : nra->items) {
     EXPECT_GE(*truth->GradeOf(g.id), expected.back().grade - 1e-12);
+  }
+}
+
+TEST(ExhaustedSourcesTest, GradeOnAnExhaustedListIsExact) {
+  // An object missing from an exhausted list has grade exactly 0 there
+  // (Fagin, Lotem and Naor, "Optimal Aggregation Algorithms for
+  // Middleware"), so a winner known on every other list has an exact grade.
+  // Object 2 is absent from B: under min its grade is exactly 0.
+  for (size_t k : {2u, 3u}) {
+    VectorSource a = *VectorSource::Create({{1, 0.9}, {2, 0.8}}, "A");
+    VectorSource b = *VectorSource::Create({{1, 0.7}}, "B");
+    std::vector<GradedSource*> ptrs{&a, &b};
+    ScoringRulePtr rule = MinRule();
+    Result<GradedSet> truth = NaiveAllGrades(ptrs, *rule);
+    ASSERT_TRUE(truth.ok());
+
+    Result<TopKResult> nra = NoRandomAccessTopK(ptrs, *rule, k);
+    ASSERT_TRUE(nra.ok());
+    a.RestartSorted();
+    b.RestartSorted();
+    Result<TopKResult> ca = CombinedTopK(ptrs, *rule, k, /*h=*/100);
+    ASSERT_TRUE(ca.ok());
+    for (const TopKResult* r : {&*nra, &*ca}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   (r == &*nra ? " NRA" : " CA"));
+      EXPECT_TRUE(r->grades_exact);
+      ASSERT_EQ(r->items.size(), 2u);
+      for (const GradedObject& g : r->items) {
+        EXPECT_EQ(g.grade, *truth->GradeOf(g.id)) << "object " << g.id;
+      }
+    }
   }
 }
 
