@@ -1,5 +1,8 @@
 #include "middleware/combined.h"
 
+#include <cstdint>
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "middleware/naive.h"
@@ -63,6 +66,27 @@ INSTANTIATE_TEST_SUITE_P(Periods, CombinedPeriodTest,
                            return name;
                          });
 
+// CA whose random-access period is never reached is NRA (Fagin, Lotem and
+// Naor, "Optimal Aggregation Algorithms for Middleware"): the same items and
+// grades, the same `grades_exact`, and the same accesses on every source.
+void ExpectSameRun(const TopKResult& ca, const TopKResult& nra) {
+  ASSERT_EQ(ca.items.size(), nra.items.size());
+  for (size_t i = 0; i < ca.items.size(); ++i) {
+    EXPECT_EQ(ca.items[i].id, nra.items[i].id) << "rank " << i;
+    EXPECT_EQ(ca.items[i].grade, nra.items[i].grade) << "rank " << i;
+  }
+  EXPECT_EQ(ca.grades_exact, nra.grades_exact);
+  ASSERT_EQ(ca.per_source.size(), nra.per_source.size());
+  for (size_t j = 0; j < ca.per_source.size(); ++j) {
+    EXPECT_EQ(ca.per_source[j].sorted, nra.per_source[j].sorted)
+        << "list " << j;
+    EXPECT_EQ(ca.per_source[j].random, nra.per_source[j].random)
+        << "list " << j;
+  }
+}
+
+constexpr size_t kNeverReached = SIZE_MAX;
+
 TEST(CombinedTest, RandomAccessDecreasesWithPeriod) {
   Rng rng(1117);
   Workload w = IndependentUniform(&rng, 5000, 2);
@@ -76,14 +100,52 @@ TEST(CombinedTest, RandomAccessDecreasesWithPeriod) {
     EXPECT_LE(r->cost.random, prev_random) << "h=" << h;
     prev_random = r->cost.random;
   }
-  // At huge h, CA must do (almost) no random access, like NRA.
-  Result<TopKResult> ca_inf = CombinedTopK(ptrs, *MinRule(), 10, 1000000);
-  ASSERT_TRUE(ca_inf.ok());
-  EXPECT_LE(ca_inf->cost.random, 2u * 10u);
+  Result<TopKResult> ca_inf =
+      CombinedTopK(ptrs, *MinRule(), 10, kNeverReached);
   Result<TopKResult> nra = NoRandomAccessTopK(ptrs, *MinRule(), 10);
-  ASSERT_TRUE(nra.ok());
-  // Same sorted-depth ballpark as NRA.
-  EXPECT_LE(ca_inf->cost.sorted, nra->cost.sorted * 2);
+  ASSERT_TRUE(ca_inf.ok() && nra.ok());
+  EXPECT_EQ(ca_inf->cost.random, 0u);
+  ExpectSameRun(*ca_inf, *nra);
+}
+
+TEST(CombinedTest, NeverReachedPeriodIsNraUnderRulesAndBudgets) {
+  struct Case {
+    std::string name;
+    std::function<Workload(Rng*)> make;
+  };
+  const std::vector<Case> workloads{
+      {"uniform_m2", [](Rng* r) { return IndependentUniform(r, 600, 2); }},
+      {"correlated_m3", [](Rng* r) { return Correlated(r, 600, 3, 0.5); }},
+      {"quantized_m3", [](Rng* r) { return QuantizedUniform(r, 600, 3, 4); }},
+      {"uniform_m4", [](Rng* r) { return IndependentUniform(r, 300, 4); }},
+  };
+  const std::vector<ScoringRulePtr> rules{MinRule(), ArithmeticMeanRule(),
+                                          GeometricMeanRule()};
+  for (const Case& c : workloads) {
+    Rng rng(1151);
+    Workload w = c.make(&rng);
+    Result<std::vector<VectorSource>> sources = w.MakeSources();
+    ASSERT_TRUE(sources.ok());
+    std::vector<GradedSource*> ptrs = SourcePtrs(*sources);
+    for (const ScoringRulePtr& rule : rules) {
+      for (size_t k : {1u, 5u, 20u}) {
+        for (uint64_t budget : {0u, 7u, 40u}) {
+          SCOPED_TRACE(c.name + " " + rule->name() + " k=" +
+                       std::to_string(k) + " budget=" +
+                       std::to_string(budget));
+          AccessGovernor ca_gov(budget);
+          AccessGovernor nra_gov(budget);
+          Result<TopKResult> ca =
+              CombinedTopK(ptrs, *rule, k, kNeverReached, &ca_gov);
+          Result<TopKResult> nra =
+              NoRandomAccessTopK(ptrs, *rule, k, &nra_gov);
+          ASSERT_TRUE(ca.ok() && nra.ok());
+          ExpectSameRun(*ca, *nra);
+          EXPECT_EQ(ca_gov.spent(), nra_gov.spent());
+        }
+      }
+    }
+  }
 }
 
 TEST(CombinedTest, TruncatedAndEmptySourcesGetVirtualCredit) {
