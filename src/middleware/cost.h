@@ -96,13 +96,17 @@ struct AccessCost {
 /// per returned object, matching the Chaudhuri–Gravano cost model.
 ///
 /// When a shared AccessGovernor is attached (middleware/budget.h), every
-/// sorted access is admitted through it first; a refusal makes this stream
-/// report exhausted from then on, which the algorithms already handle as an
-/// all-zeros tail — the budget/cancellation truncation point. Random and
-/// filter access stay ungated: grades for already-discovered objects must
-/// remain exact or the partial top-k would be wrong, not just short.
+/// sorted access is admitted through it first; a refusal ends this stream —
+/// the budget/cancellation truncation point. The wrapper records why its
+/// stream ended: a list that ran out grades every object it never streamed
+/// 0, while a refused list says nothing about them. Random and filter access
+/// stay ungated: grades for already-discovered objects must remain exact or
+/// the partial top-k would be wrong, not just short.
 class CountingSource final : public GradedSource {
  public:
+  /// Why the sorted stream ended, if it has.
+  enum class StreamEnd { kLive, kRanOut, kRefused };
+
   /// `inner` and `cost` must outlive this wrapper.
   CountingSource(GradedSource* inner, AccessCost* cost)
       : inner_(inner), cost_(cost) {}
@@ -115,10 +119,13 @@ class CountingSource final : public GradedSource {
 
   std::optional<GradedObject> NextSorted() override {
     if (governor_ != nullptr && !governor_->AdmitSorted()) {
-      return std::nullopt;  // budget/cancel/deadline: stream ends here
+      end_ = StreamEnd::kRefused;  // budget/cancel/deadline
+      return std::nullopt;
     }
     std::optional<GradedObject> next = inner_->NextSorted();
-    if (next.has_value()) {
+    if (!next.has_value()) {
+      end_ = StreamEnd::kRanOut;
+    } else {
       ++cost_->sorted;
       FUZZYDB_DCHECK(
           next->grade >= 0.0 && next->grade <= 1.0,
@@ -143,8 +150,11 @@ class CountingSource final : public GradedSource {
 
   void RestartSorted() override {
     prev_streamed_.reset();
+    end_ = StreamEnd::kLive;
     inner_->RestartSorted();
   }
+
+  StreamEnd stream_end() const { return end_; }
 
   double RandomAccess(ObjectId id) override {
     ++cost_->random;
@@ -165,6 +175,7 @@ class CountingSource final : public GradedSource {
   AccessGovernor* governor_ = nullptr;
   // Last streamed object, for the sorted-order contract check.
   std::optional<GradedObject> prev_streamed_;
+  StreamEnd end_ = StreamEnd::kLive;
 };
 
 struct TopKResult;
@@ -173,11 +184,21 @@ struct TopKResult;
 /// wraps each raw source in a CountingSource charging its own AccessCost,
 /// installs the query's governor (null: unbudgeted), restarts the sorted
 /// cursors, and on Finalize() folds the per-source tallies into the result.
+///
+/// It also keeps the one copy of the rules for a list's sorted stream that
+/// TA, NRA, CA and A0 share (paper §4: an object absent from a list has
+/// grade 0 there). Each list's last streamed grade caps what any object not
+/// yet streamed there can score on it; once the list ends the cap is 0, so
+/// the halting thresholds fall and a short list stops holding the run open.
+/// A list ends by running out, or by a governor refusal: a refused run
+/// answers for the consumed prefix, but only a list that ran out has truly
+/// graded its unstreamed objects 0 — a refused one still knows their grades,
+/// by random access.
 class SourceSet {
  public:
   SourceSet(std::span<GradedSource* const> sources,
             AccessGovernor* governor = nullptr)
-      : per_source_(sources.size()) {
+      : per_source_(sources.size()), last_(sources.size(), 1.0) {
     counted_.reserve(sources.size());
     for (size_t j = 0; j < sources.size(); ++j) {
       counted_.emplace_back(sources[j], &per_source_[j]);
@@ -190,12 +211,43 @@ class SourceSet {
 
   CountingSource& counted(size_t j) { return counted_[j]; }
 
+  /// One sorted access on list j, which must not have ended; nullopt when
+  /// the list ends here.
+  std::optional<GradedObject> NextSorted(size_t j) {
+    FUZZYDB_DCHECK(!ended(j), "sorted access on an ended list");
+    std::optional<GradedObject> next = counted_[j].NextSorted();
+    if (next.has_value()) {
+      last_[j] = next->grade;
+    } else {
+      last_[j] = 0.0;
+      ++num_ended_;
+    }
+    return next;
+  }
+
+  /// True once list j's sorted stream ran out or was refused.
+  bool ended(size_t j) const {
+    return counted_[j].stream_end() != CountingSource::StreamEnd::kLive;
+  }
+  /// True once list j ran out: every object it never streamed has grade 0.
+  bool ran_out(size_t j) const {
+    return counted_[j].stream_end() == CountingSource::StreamEnd::kRanOut;
+  }
+  size_t num_ended() const { return num_ended_; }
+  bool all_ended() const { return num_ended_ == counted_.size(); }
+
+  /// Per list: 1 before the first sorted access, then the last streamed
+  /// grade, and 0 once the list ended.
+  std::span<const double> last_grades() const { return last_; }
+
   /// Fills result->per_source and result->cost (defined in topk.cc).
   void Finalize(TopKResult* result);
 
  private:
   std::vector<AccessCost> per_source_;
   std::vector<CountingSource> counted_;
+  std::vector<double> last_;
+  size_t num_ended_ = 0;
 };
 
 }  // namespace fuzzydb

@@ -21,29 +21,25 @@ Result<TopKResult> FaginTopK(std::span<GradedSource* const> sources,
   std::vector<std::unordered_map<ObjectId, double>> seen(m);
   std::unordered_map<ObjectId, size_t> seen_count;
   size_t matches = 0;
-  size_t exhausted = 0;
-  std::vector<bool> done(m, false);
-  while (matches < k && exhausted < m) {
+  while (matches < k && !set.all_ended()) {
     for (size_t j = 0; j < m; ++j) {
-      if (done[j]) continue;
-      std::optional<GradedObject> next = set.counted(j).NextSorted();
+      if (set.ended(j)) continue;
+      std::optional<GradedObject> next = set.NextSorted(j);
       if (!next.has_value()) {
-        done[j] = true;
-        ++exhausted;
-        // An exhausted list has implicitly been read to the end: every
-        // object it never delivered sits there with grade 0 (absent means
-        // grade 0). Credit it as seen on list j, or Phase 1 can never
-        // reach k matches and degenerates into a full scan of the longer
-        // lists.
+        // Every object an ended list never delivered counts as seen on it:
+        // a list that ran out grades them 0 (absent means grade 0), and a
+        // refused one ends the consumed prefix. Without this credit Phase
+        // 1 can never reach k matches and degenerates into a full scan of
+        // the longer lists.
         for (auto& [id, count] : seen_count) {
           if (!seen[j].count(id) && ++count == m) ++matches;
         }
         continue;
       }
       seen[j].emplace(next->id, next->grade);
-      // A fresh object starts with one virtual credit per already-exhausted
+      // A fresh object starts with one virtual credit per already-ended
       // list (those lists grade it 0, which counts as "seen" under A0).
-      auto it = seen_count.try_emplace(next->id, exhausted).first;
+      auto it = seen_count.try_emplace(next->id, set.num_ended()).first;
       if (++it->second == m) ++matches;
     }
   }
