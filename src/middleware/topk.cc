@@ -41,6 +41,7 @@ std::vector<GradedObject> ResolveAndRank(
     order.push_back(id);
   }
   for (size_t j = 0; j < m; ++j) {
+    if (set->ran_out(j)) continue;  // every object it grades is known
     for (size_t r : missing[j]) {
       rows[r][j] = set->counted(j).RandomAccess(order[r]);
     }

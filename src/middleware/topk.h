@@ -44,7 +44,9 @@ Status ValidateTopKArgs(std::span<GradedSource* const> sources,
 /// A0's resolution and ranking phases (paper §4.1), shared with the filter
 /// simulation: every object of `seen` (in its iteration order) gets the
 /// grades missing from `known[j]` by random access on set->counted(j),
-/// source by source; returns the k best overall grades, grade-descending.
+/// source by source — or 0 without an access when list j ran out, since
+/// `known[j]` then holds everything it streamed; returns the k best overall
+/// grades, grade-descending.
 std::vector<GradedObject> ResolveAndRank(
     SourceSet* set,
     std::span<const std::unordered_map<ObjectId, double>> known,

@@ -10,6 +10,10 @@
 // behavior: identical answers to the naive ground truth, with strictly
 // fewer accesses than a full scan.
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "middleware/combined.h"
@@ -145,6 +149,167 @@ TEST(ExhaustedSourcesTest, GradeOnAnExhaustedListIsExact) {
         EXPECT_EQ(g.grade, *truth->GradeOf(g.id)) << "object " << g.id;
       }
     }
+  }
+}
+
+TEST(ExhaustedSourcesTest, RefusedListIsNotGradedZero) {
+  // A governor refusal ends a stream without running it out: object 1's
+  // grade on B is 0.95, not 0, so NRA and CA may report only the lower
+  // bound 0 and must not call it exact. TA probes B and reports 0.9.
+  VectorSource a = *VectorSource::Create({{1, .9}, {2, .8}, {3, .7}}, "A");
+  VectorSource b = *VectorSource::Create({{1, .95}, {2, .6}, {3, .85}}, "B");
+  std::vector<GradedSource*> ptrs{&a, &b};
+  ScoringRulePtr rule = MinRule();
+
+  AccessGovernor nra_gov(1);
+  Result<TopKResult> nra = NoRandomAccessTopK(ptrs, *rule, 1, &nra_gov);
+  AccessGovernor ca_gov(1);
+  Result<TopKResult> ca = CombinedTopK(ptrs, *rule, 1, /*h=*/1, &ca_gov);
+  ASSERT_TRUE(nra.ok() && ca.ok());
+  for (const TopKResult* r : {&*nra, &*ca}) {
+    SCOPED_TRACE(r == &*nra ? "NRA" : "CA");
+    ASSERT_EQ(r->items.size(), 1u);
+    EXPECT_EQ(r->items[0].id, 1u);
+    EXPECT_EQ(r->items[0].grade, 0.0);
+    EXPECT_FALSE(r->grades_exact);
+  }
+
+  AccessGovernor ta_gov(1);
+  Result<TopKResult> ta = ThresholdTopK(ptrs, *rule, 1, &ta_gov);
+  ASSERT_TRUE(ta.ok());
+  ASSERT_EQ(ta->items.size(), 1u);
+  EXPECT_EQ(ta->items[0].id, 1u);
+  EXPECT_EQ(ta->items[0].grade, 0.9);
+  EXPECT_TRUE(ta->grades_exact);
+}
+
+// Per-source random-access counts of one run.
+std::vector<uint64_t> RandomCounts(const TopKResult& r) {
+  std::vector<uint64_t> out;
+  for (const AccessCost& c : r.per_source) out.push_back(c.random);
+  return out;
+}
+
+TEST(ExhaustedSourcesTest, ListThatRanOutIsNotProbed) {
+  // B runs out in round 2. TA's probe of B for object 2 and A0's probes of
+  // B for objects 1, 2 and 3 all come after that, so each grade is 0
+  // without an access; only the probes on the live A remain.
+  std::vector<GradedObject> a_items;
+  for (ObjectId id = 1; id <= 6; ++id) {
+    a_items.push_back({id, 1.0 - 0.1 * static_cast<double>(id)});
+  }
+  VectorSource a = *VectorSource::Create(a_items, "A");
+  VectorSource b = *VectorSource::Create({{6, .95}}, "B");
+  std::vector<GradedSource*> ptrs{&a, &b};
+  ScoringRulePtr rule = ArithmeticMeanRule();
+  Result<GradedSet> truth = NaiveAllGrades(ptrs, *rule);
+  ASSERT_TRUE(truth.ok());
+
+  Result<TopKResult> ta = ThresholdTopK(ptrs, *rule, 3);
+  ASSERT_TRUE(ta.ok());
+  EXPECT_TRUE(IsValidTopK(ta->items, *truth, 3));
+  EXPECT_EQ(RandomCounts(*ta), (std::vector<uint64_t>{1, 1}));
+
+  Result<TopKResult> a0 = FaginTopK(ptrs, *rule, 3);
+  ASSERT_TRUE(a0.ok());
+  EXPECT_TRUE(IsValidTopK(a0->items, *truth, 3));
+  EXPECT_EQ(RandomCounts(*a0), (std::vector<uint64_t>{1, 0}));
+}
+
+TEST(ExhaustedSourcesTest, RefusedListIsStillProbed) {
+  // The same lists with B = {6: .95, 2: .5} and a budget of 3 sorted
+  // accesses: B is refused in round 2, not run out, so object 2's grade
+  // there (0.5) still comes from a probe and the partial answer keeps it.
+  std::vector<GradedObject> a_items;
+  for (ObjectId id = 1; id <= 6; ++id) {
+    a_items.push_back({id, 1.0 - 0.1 * static_cast<double>(id)});
+  }
+  VectorSource a = *VectorSource::Create(a_items, "A");
+  VectorSource b = *VectorSource::Create({{6, .95}, {2, .5}}, "B");
+  std::vector<GradedSource*> ptrs{&a, &b};
+  ScoringRulePtr rule = ArithmeticMeanRule();
+  Result<GradedSet> truth = NaiveAllGrades(ptrs, *rule);
+  ASSERT_TRUE(truth.ok());
+
+  AccessGovernor ta_gov(3);
+  Result<TopKResult> ta = ThresholdTopK(ptrs, *rule, 3, &ta_gov);
+  AccessGovernor a0_gov(3);
+  Result<TopKResult> a0 = FaginTopK(ptrs, *rule, 3, &a0_gov);
+  ASSERT_TRUE(ta.ok() && a0.ok());
+  for (const TopKResult* r : {&*ta, &*a0}) {
+    SCOPED_TRACE(r == &*ta ? "TA" : "A0");
+    EXPECT_EQ(RandomCounts(*r), (std::vector<uint64_t>{1, 2}));
+    ASSERT_EQ(r->items.size(), 3u);
+    for (const GradedObject& g : r->items) {
+      EXPECT_EQ(g.grade, *truth->GradeOf(g.id)) << "object " << g.id;
+    }
+  }
+}
+
+// Counts random accesses that arrive after the sorted stream ran out.
+class LateProbeCounter final : public GradedSource {
+ public:
+  explicit LateProbeCounter(GradedSource* inner) : inner_(inner) {}
+  size_t Size() const override { return inner_->Size(); }
+  std::optional<GradedObject> NextSorted() override {
+    std::optional<GradedObject> next = inner_->NextSorted();
+    if (!next.has_value()) ran_out_ = true;
+    return next;
+  }
+  void RestartSorted() override {
+    ran_out_ = false;
+    inner_->RestartSorted();
+  }
+  double RandomAccess(ObjectId id) override {
+    if (ran_out_) ++late_;
+    return inner_->RandomAccess(id);
+  }
+  std::vector<GradedObject> AtLeast(double threshold) override {
+    return inner_->AtLeast(threshold);
+  }
+  size_t late() const { return late_; }
+
+ private:
+  GradedSource* inner_;
+  bool ran_out_ = false;
+  size_t late_ = 0;
+};
+
+TEST(ExhaustedSourcesTest, NoAlgorithmProbesAListThatRanOut) {
+  // Short lists run out long before the long one; TA, A0 and CA must read
+  // the grade 0 there without random access, and still answer exactly.
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(1201 + seed);
+    Workload w = IndependentUniform(&rng, 60, 3);
+    Result<std::vector<VectorSource>> sources = MakeTruncatedSources(
+        w, {60, 3 + seed % 6, 10 + seed % 20});
+    ASSERT_TRUE(sources.ok());
+    std::vector<GradedSource*> raw = SourcePtrs(*sources);
+    std::vector<LateProbeCounter> counters(raw.begin(), raw.end());
+    std::vector<GradedSource*> ptrs;
+    for (LateProbeCounter& c : counters) ptrs.push_back(&c);
+    ScoringRulePtr rule = ArithmeticMeanRule();
+    Result<GradedSet> truth = NaiveAllGrades(ptrs, *rule);
+    ASSERT_TRUE(truth.ok());
+
+    std::vector<std::pair<std::string, Result<TopKResult>>> runs;
+    runs.emplace_back("TA", ThresholdTopK(ptrs, *rule, 3));
+    runs.emplace_back("A0", FaginTopK(ptrs, *rule, 3));
+    runs.emplace_back("CA", CombinedTopK(ptrs, *rule, 3, /*h=*/1));
+    for (const auto& [name, r] : runs) {
+      SCOPED_TRACE(name + " seed=" + std::to_string(seed));
+      ASSERT_TRUE(r.ok());
+      EXPECT_TRUE(r->grades_exact || name == "CA");
+      std::vector<GradedObject> at_truth;
+      for (const GradedObject& g : r->items) {
+        if (r->grades_exact) {
+          EXPECT_EQ(g.grade, *truth->GradeOf(g.id));
+        }
+        at_truth.push_back({g.id, *truth->GradeOf(g.id)});
+      }
+      EXPECT_TRUE(IsValidTopK(at_truth, *truth, 3));
+    }
+    for (const LateProbeCounter& c : counters) EXPECT_EQ(c.late(), 0u);
   }
 }
 
