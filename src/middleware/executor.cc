@@ -36,6 +36,10 @@ std::string AlgorithmName(Algorithm algorithm) {
 
 namespace {
 
+// The empirical monotonicity check's sample count and seed.
+constexpr size_t kVerifySamples = 512;
+constexpr uint64_t kVerifySeed = 42;
+
 // A flat, unweighted OR of atoms under the standard max rule qualifies for
 // the m·k disjunction shortcut.
 bool IsPureMaxDisjunction(const Query& query) {
@@ -73,9 +77,8 @@ Result<ExecutionResult> ExecuteTopK(QueryPtr query,
 
   bool monotone = rule->monotone();
   if (monotone && options.verify_rule_claims) {
-    Rng rng(options.verify_seed);
-    if (!CheckMonotoneEmpirically(*rule, atoms.size(), options.verify_samples,
-                                  &rng)) {
+    Rng rng(kVerifySeed);
+    if (!CheckMonotoneEmpirically(*rule, atoms.size(), kVerifySamples, &rng)) {
       return Status::FailedPrecondition(
           "scoring rule '" + rule->name() +
           "' claims monotonicity but an empirical check refuted it; "
@@ -105,19 +108,7 @@ Result<ExecutionResult> ExecuteTopK(QueryPtr query,
         "algorithm is correct");
   }
 
-  // Budget / cancellation gate (DESIGN §3j): the caller's shared governor
-  // wins; otherwise a private one is built from the convenience knobs.
-  std::shared_ptr<AccessGovernor> governor = options.governor;
-  if (governor == nullptr &&
-      (options.sorted_access_budget > 0 || options.deadline.has_value())) {
-    governor = std::make_shared<AccessGovernor>(options.sorted_access_budget,
-                                                options.deadline);
-  }
-  size_t combined_period = options.combined_period;
-  if (combined_period == 0 && options.adaptive_cost_model.has_value()) {
-    combined_period = DefaultCombinedPeriod(*options.adaptive_cost_model);
-  }
-  if (combined_period == 0) combined_period = 1;
+  AccessGovernor* governor = options.governor.get();
 
   ExecutionResult out;
   out.algorithm_used = algo;
@@ -127,22 +118,22 @@ Result<ExecutionResult> ExecuteTopK(QueryPtr query,
       r = NaiveTopK(sources, *rule, k);
       break;
     case Algorithm::kFagin:
-      r = FaginTopK(sources, *rule, k, governor.get());
+      r = FaginTopK(sources, *rule, k, governor);
       break;
     case Algorithm::kThreshold:
-      r = ThresholdTopK(sources, *rule, k, governor.get());
+      r = ThresholdTopK(sources, *rule, k, governor);
       break;
     case Algorithm::kNoRandomAccess:
-      r = NoRandomAccessTopK(sources, *rule, k, governor.get());
+      r = NoRandomAccessTopK(sources, *rule, k, governor);
       break;
     case Algorithm::kFilteredSimulation:
       r = FilteredSimulationTopK(sources, *rule, k);
       break;
     case Algorithm::kDisjunctionShortcut:
-      r = DisjunctionTopK(sources, k, governor.get());
+      r = DisjunctionTopK(sources, k, governor);
       break;
     case Algorithm::kCombined:
-      r = CombinedTopK(sources, *rule, k, combined_period, governor.get());
+      r = CombinedTopK(sources, *rule, k, options.combined_period, governor);
       break;
     case Algorithm::kAuto:
       return Status::Internal("auto algorithm not resolved");

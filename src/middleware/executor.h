@@ -8,10 +8,8 @@
 #ifndef FUZZYDB_MIDDLEWARE_EXECUTOR_H_
 #define FUZZYDB_MIDDLEWARE_EXECUTOR_H_
 
-#include <chrono>
 #include <functional>
 #include <memory>
-#include <optional>
 
 #include "core/query.h"
 #include "middleware/budget.h"
@@ -46,34 +44,19 @@ struct ExecutorOptions {
   /// composite rule before using an algorithm that relies on them (the
   /// Garlic "system must guarantee monotonicity" issue, paper §4.2).
   bool verify_rule_claims = false;
-  /// Samples for the empirical check.
-  size_t verify_samples = 512;
-  /// Seed for the empirical check.
-  uint64_t verify_seed = 42;
   /// CA's random-access period h (used when algorithm == kCombined);
-  /// typically the random/sorted price ratio. 0 means "derive": from
-  /// `adaptive_cost_model`'s price ratio when present, else 1.
-  size_t combined_period = 0;
-  /// When set and combined_period == 0, CA's period is this model's price
-  /// ratio (DefaultCombinedPeriod). Never overrides a pinned period.
-  std::optional<CostModel> adaptive_cost_model;
-  /// Budgeted / cancellable execution (DESIGN §3j). When `governor` is set
-  /// it gates the run (the caller keeps a handle for Cancel); otherwise a
-  /// private governor is created when `sorted_access_budget` or `deadline`
-  /// asks for one. Interruption truncates every sorted stream — the
-  /// algorithms halt with the top-k of the consumed prefix (the PR-2
-  /// exhausted-tail semantics) — and ExecutionResult::completion carries
-  /// the documented partial-result Status (Cancelled / DeadlineExceeded /
+  /// typically the random/sorted price ratio, as ChoosePlan derives it in
+  /// PlanChoice::combined_period.
+  size_t combined_period = 1;
+  /// Budgeted / cancellable execution (DESIGN §3j): when set, the governor
+  /// gates the run and the caller keeps a handle for Cancel. Interruption
+  /// ends every sorted stream — the algorithms halt with the top-k of the
+  /// consumed prefix — and ExecutionResult::completion carries the
+  /// documented partial-result Status (Cancelled / DeadlineExceeded /
   /// ResourceExhausted). Budgets apply to the algorithms that stream
   /// through CountingSource (A0/TA/NRA/CA, the disjunction shortcut); the
   /// naive scan and the filter simulation's AtLeast calls are not gated.
   std::shared_ptr<AccessGovernor> governor;
-  /// Convenience: consumed-sorted-access budget for the private governor
-  /// (0 = unlimited). Ignored when `governor` is set.
-  uint64_t sorted_access_budget = 0;
-  /// Convenience: wall-clock deadline for the private governor. Ignored
-  /// when `governor` is set.
-  std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 
 /// Chosen plan plus the result.

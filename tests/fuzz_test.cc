@@ -258,7 +258,7 @@ ExecutionResult ServerSerialReference(const FuzzQuery& fq, const Workload& w) {
   ExecutorOptions opts;
   opts.algorithm = plan->algorithm;
   opts.combined_period = plan->combined_period;
-  opts.sorted_access_budget = fq.budget;
+  opts.governor = std::make_shared<AccessGovernor>(fq.budget);
   Result<ExecutionResult> r = ExecuteTopK(fq.query, resolver, fq.k, opts);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::move(r).value();

@@ -189,59 +189,6 @@ TEST_F(ExecutorTest, CombinedRunsThroughExecutorAndStaysCorrect) {
   }
 }
 
-TEST_F(ExecutorTest, AdaptiveCostModelDerivesCombinedPeriod) {
-  // combined_period 0 means "derive": with a price model attached, CA's h
-  // becomes the random/sorted price ratio; the run must be correct and
-  // match an explicit run at that h, access count for access count.
-  QueryPtr q = Query::And({Query::Atomic("A", "x"), Query::Atomic("B", "y")});
-  CostModel model;
-  model.random_unit = 3.0;
-
-  ExecutorOptions adaptive;
-  adaptive.algorithm = Algorithm::kCombined;
-  adaptive.adaptive_cost_model = model;  // combined_period stays 0
-  Result<ExecutionResult> derived = ExecuteTopK(q, resolver_, 5, adaptive);
-  ASSERT_TRUE(derived.ok());
-
-  ExecutorOptions pinned;
-  pinned.algorithm = Algorithm::kCombined;
-  pinned.combined_period = DefaultCombinedPeriod(model);  // = 3
-  Result<ExecutionResult> explicit_run = ExecuteTopK(q, resolver_, 5, pinned);
-  ASSERT_TRUE(explicit_run.ok());
-
-  EXPECT_EQ(derived->topk.cost.sorted, explicit_run->topk.cost.sorted);
-  EXPECT_EQ(derived->topk.cost.random, explicit_run->topk.cost.random);
-  ASSERT_EQ(derived->topk.items.size(), explicit_run->topk.items.size());
-  for (size_t r = 0; r < derived->topk.items.size(); ++r) {
-    EXPECT_EQ(derived->topk.items[r].id, explicit_run->topk.items[r].id);
-  }
-}
-
-TEST_F(ExecutorTest, AdaptiveModelNeverOverridesPinnedKnobs) {
-  // A caller-pinned combined_period survives an attached cost model whose
-  // derived period differs: the access counts must match a run with the
-  // pinned period and no model.
-  QueryPtr q = Query::And({Query::Atomic("A", "x"), Query::Atomic("B", "y")});
-  CostModel model;
-  model.random_unit = 7.0;  // would derive h=7
-
-  ExecutorOptions pinned_with_model;
-  pinned_with_model.algorithm = Algorithm::kCombined;
-  pinned_with_model.combined_period = 2;
-  pinned_with_model.adaptive_cost_model = model;
-  Result<ExecutionResult> a = ExecuteTopK(q, resolver_, 5, pinned_with_model);
-  ASSERT_TRUE(a.ok());
-
-  ExecutorOptions pinned_only;
-  pinned_only.algorithm = Algorithm::kCombined;
-  pinned_only.combined_period = 2;
-  Result<ExecutionResult> b = ExecuteTopK(q, resolver_, 5, pinned_only);
-  ASSERT_TRUE(b.ok());
-
-  EXPECT_EQ(a->topk.cost.sorted, b->topk.cost.sorted);
-  EXPECT_EQ(a->topk.cost.random, b->topk.cost.random);
-}
-
 TEST(ExecutorEdgeTest, NullQueryRejected) {
   Result<ExecutionResult> r = ExecuteTopK(
       nullptr, [](const Query&) -> Result<GradedSource*> { return nullptr; },

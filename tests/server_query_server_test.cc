@@ -91,7 +91,7 @@ ExecutionResult SerialReference(const QueryPtr& query, const Workload& w,
   ExecutorOptions opts;
   opts.algorithm = plan->algorithm;
   opts.combined_period = plan->combined_period;
-  opts.sorted_access_budget = budget;
+  opts.governor = std::make_shared<AccessGovernor>(budget);
   Result<ExecutionResult> r = ExecuteTopK(query, ctx.resolver, k, opts);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::move(r).value();
