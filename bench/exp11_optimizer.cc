@@ -50,14 +50,18 @@ void PrintTables() {
     AccessCost naive = CheckedValue(NaiveTopK(ptrs, *min, kK), "naive").cost;
     AccessCost a0 = CheckedValue(FaginTopK(ptrs, *min, kK), "a0").cost;
     AccessCost ta = CheckedValue(ThresholdTopK(ptrs, *min, kK), "ta").cost;
-    AccessCost nra =
-        CheckedValue(NoRandomAccessTopK(ptrs, *min, kK), "nra").cost;
+    TopKResult nra_run =
+        CheckedValue(NoRandomAccessTopK(ptrs, *min, kK), "nra");
+    CheckOk(CheckTopK(nra_run, ptrs, *min, kK), "E11 nra answer");
+    AccessCost nra = nra_run.cost;
 
     for (double price : {0.1, 1.0, 10.0, 100.0}) {
       // CA's period follows the price ratio, so it is re-run per price.
       size_t h = static_cast<size_t>(std::max(1.0, price));
-      AccessCost ca =
-          CheckedValue(CombinedTopK(ptrs, *min, kK, h), "ca").cost;
+      TopKResult ca_run =
+          CheckedValue(CombinedTopK(ptrs, *min, kK, h), "ca");
+      CheckOk(CheckTopK(ca_run, ptrs, *min, kK), "E11 ca answer");
+      AccessCost ca = ca_run.cost;
       std::vector<Measured> measured{
           {"naive", naive.Charged(price)},
           {"fagin-a0", a0.Charged(price)},

@@ -24,10 +24,10 @@ void PrintTables() {
     for (size_t k : {1u, 10u, 100u}) {
       Result<std::vector<CostPoint>> points = SweepCost(
           [m](Rng* rng, size_t n) { return IndependentUniform(rng, n, m); },
-          [](std::span<GradedSource* const> sources, size_t kk) {
-            return FaginTopK(sources, *MinRule(), kk);
-          },
-          ns, m, k, /*trials=*/3, kSeed);
+          [](std::span<GradedSource* const> sources,
+             const ScoringRule& rule,
+             size_t kk) { return FaginTopK(sources, rule, kk); },
+          *MinRule(), ns, m, k, /*trials=*/3, kSeed);
       std::vector<CostPoint> pts =
           CheckedValue(std::move(points), "E1 sweep");
       LinearFit fit = CheckedValue(FitCostExponent(pts), "E1 fit");
@@ -49,10 +49,10 @@ void PrintTables() {
     std::vector<CostPoint> pts = CheckedValue(
         SweepCost(
             [](Rng* rng, size_t n) { return IndependentUniform(rng, n, 2); },
-            [](std::span<GradedSource* const> sources, size_t kk) {
-              return FaginTopK(sources, *MinRule(), kk);
-            },
-            {100000}, 2, k, 3, kSeed),
+            [](std::span<GradedSource* const> sources,
+               const ScoringRule& rule,
+               size_t kk) { return FaginTopK(sources, rule, kk); },
+            *MinRule(), {100000}, 2, k, 3, kSeed),
         "E1b sweep");
     double cost = static_cast<double>(pts[0].cost.total());
     ktable.AddRow({std::to_string(k), TablePrinter::Num(cost, 6),

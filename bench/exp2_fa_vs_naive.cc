@@ -21,20 +21,18 @@ void PrintTables() {
             [](Rng* rng, size_t nn) {
               return IndependentUniform(rng, nn, 2);
             },
-            [](std::span<GradedSource* const> s, size_t k) {
-              return NaiveTopK(s, *MinRule(), k);
-            },
-            {n}, 2, 10, 3, kSeed),
+            [](std::span<GradedSource* const> s, const ScoringRule& rule,
+               size_t k) { return NaiveTopK(s, rule, k); },
+            *MinRule(), {n}, 2, 10, 3, kSeed),
         "E2 naive");
     std::vector<CostPoint> fagin = CheckedValue(
         SweepCost(
             [](Rng* rng, size_t nn) {
               return IndependentUniform(rng, nn, 2);
             },
-            [](std::span<GradedSource* const> s, size_t k) {
-              return FaginTopK(s, *MinRule(), k);
-            },
-            {n}, 2, 10, 3, kSeed),
+            [](std::span<GradedSource* const> s, const ScoringRule& rule,
+               size_t k) { return FaginTopK(s, rule, k); },
+            *MinRule(), {n}, 2, 10, 3, kSeed),
         "E2 fagin");
     double ratio = static_cast<double>(naive[0].cost.total()) /
                    static_cast<double>(fagin[0].cost.total());

@@ -23,10 +23,9 @@ void PrintTables() {
                 [m](Rng* rng, size_t nn) {
                   return IndependentUniform(rng, nn, m);
                 },
-                [](std::span<GradedSource* const> s, size_t kk) {
-                  return DisjunctionTopK(s, kk);
-                },
-                {n}, m, k, 3, kSeed),
+                [](std::span<GradedSource* const> s, const ScoringRule&,
+                   size_t kk) { return DisjunctionTopK(s, kk); },
+                *MaxRule(), {n}, m, k, 3, kSeed),
             "E3 shortcut");
         // TA is correct for max too (monotone), but pays random accesses.
         std::vector<CostPoint> ta = CheckedValue(
@@ -34,10 +33,9 @@ void PrintTables() {
                 [m](Rng* rng, size_t nn) {
                   return IndependentUniform(rng, nn, m);
                 },
-                [](std::span<GradedSource* const> s, size_t kk) {
-                  return ThresholdTopK(s, *MaxRule(), kk);
-                },
-                {n}, m, k, 3, kSeed),
+                [](std::span<GradedSource* const> s, const ScoringRule& rule,
+                   size_t kk) { return ThresholdTopK(s, rule, kk); },
+                *MaxRule(), {n}, m, k, 3, kSeed),
             "E3 ta");
         table.AddRow({std::to_string(n), std::to_string(m),
                       std::to_string(k),

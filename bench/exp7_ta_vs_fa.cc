@@ -23,16 +23,18 @@ void PrintTables() {
       };
       auto run = [&](const AlgorithmRunner& runner) {
         return CheckedValue(
-            SweepCost(factory, runner, {n}, m, 10, 3, kSeed), "E7 sweep")[0];
+            SweepCost(factory, runner, *MinRule(), {n}, m, 10, 3, kSeed),
+            "E7 sweep")[0];
       };
-      CostPoint a0 = run([](std::span<GradedSource* const> s, size_t k) {
-        return FaginTopK(s, *MinRule(), k);
+      using Sources = std::span<GradedSource* const>;
+      CostPoint a0 = run([](Sources s, const ScoringRule& rule, size_t k) {
+        return FaginTopK(s, rule, k);
       });
-      CostPoint ta = run([](std::span<GradedSource* const> s, size_t k) {
-        return ThresholdTopK(s, *MinRule(), k);
+      CostPoint ta = run([](Sources s, const ScoringRule& rule, size_t k) {
+        return ThresholdTopK(s, rule, k);
       });
-      CostPoint nra = run([](std::span<GradedSource* const> s, size_t k) {
-        return NoRandomAccessTopK(s, *MinRule(), k);
+      CostPoint nra = run([](Sources s, const ScoringRule& rule, size_t k) {
+        return NoRandomAccessTopK(s, rule, k);
       });
       table.AddRow(
           {std::to_string(n), std::to_string(m),

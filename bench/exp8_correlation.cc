@@ -21,17 +21,17 @@ void PrintTables() {
   auto run_both = [&](const std::string& name, const WorkloadFactory& make) {
     CostPoint a0 = CheckedValue(
         SweepCost(make,
-                  [](std::span<GradedSource* const> s, size_t k) {
-                    return FaginTopK(s, *MinRule(), k);
-                  },
-                  {kN}, 2, kK, 3, kSeed),
+                  [](std::span<GradedSource* const> s,
+                     const ScoringRule& rule,
+                     size_t k) { return FaginTopK(s, rule, k); },
+                  *MinRule(), {kN}, 2, kK, 3, kSeed),
         "E8 a0")[0];
     CostPoint ta = CheckedValue(
         SweepCost(make,
-                  [](std::span<GradedSource* const> s, size_t k) {
-                    return ThresholdTopK(s, *MinRule(), k);
-                  },
-                  {kN}, 2, kK, 3, kSeed),
+                  [](std::span<GradedSource* const> s,
+                     const ScoringRule& rule,
+                     size_t k) { return ThresholdTopK(s, rule, k); },
+                  *MinRule(), {kN}, 2, kK, 3, kSeed),
         "E8 ta")[0];
     table.AddRow({name, std::to_string(a0.cost.total()),
                   std::to_string(ta.cost.total()),

@@ -3,6 +3,9 @@
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <string>
+
+#include "middleware/naive.h"
 
 namespace fuzzydb {
 
@@ -45,6 +48,7 @@ void TablePrinter::Print() const { Print(std::cout); }
 
 Result<std::vector<CostPoint>> SweepCost(const WorkloadFactory& factory,
                                          const AlgorithmRunner& runner,
+                                         const ScoringRule& rule,
                                          const std::vector<size_t>& ns,
                                          size_t m, size_t k, size_t trials,
                                          uint64_t seed) {
@@ -59,8 +63,14 @@ Result<std::vector<CostPoint>> SweepCost(const WorkloadFactory& factory,
       Result<std::vector<VectorSource>> sources = w.MakeSources();
       if (!sources.ok()) return sources.status();
       std::vector<GradedSource*> ptrs = SourcePtrs(*sources);
-      Result<TopKResult> r = runner(ptrs, k);
+      Result<TopKResult> r = runner(ptrs, rule, k);
       if (!r.ok()) return r.status();
+      Status checked = CheckTopK(*r, ptrs, rule, k);
+      if (!checked.ok()) {
+        return Status::Internal("n=" + std::to_string(n) + " trial " +
+                                std::to_string(t) + ": " +
+                                checked.message());
+      }
       total_sorted += r->cost.sorted;
       total_random += r->cost.random;
     }
@@ -73,6 +83,26 @@ Result<std::vector<CostPoint>> SweepCost(const WorkloadFactory& factory,
     out.push_back(p);
   }
   return out;
+}
+
+Status CheckTopK(const TopKResult& result,
+                 std::span<GradedSource* const> sources,
+                 const ScoringRule& rule, size_t k) {
+  Result<GradedSet> truth = NaiveAllGrades(sources, rule);
+  if (!truth.ok()) return truth.status();
+  std::vector<GradedObject> checked = result.items;
+  if (!result.grades_exact) {
+    // Lower bounds: check the returned set at its true grades.
+    for (GradedObject& g : checked) {
+      g.grade = truth->GradeOf(g.id).value_or(-1.0);
+    }
+  }
+  if (!IsValidTopK(checked, *truth, k)) {
+    return Status::Internal("answer is not a correct top-" +
+                            std::to_string(k) + " under rule " +
+                            rule.name());
+  }
+  return Status::OK();
 }
 
 Result<LinearFit> FitCostExponent(const std::vector<CostPoint>& points) {

@@ -46,17 +46,28 @@ struct CostPoint {
   AccessCost cost;
 };
 
-/// Runs `algorithm` over freshly generated workloads for every n in `ns`,
-/// averaging total access cost over `trials` seeds.
+/// Runs `runner` under `rule` over freshly generated workloads for every n
+/// in `ns`, averaging access cost over `trials` seeds. Every trial's answer
+/// is checked with CheckTopK; a wrong one returns Internal.
 using WorkloadFactory = std::function<Workload(Rng*, size_t n)>;
 using AlgorithmRunner = std::function<Result<TopKResult>(
-    std::span<GradedSource* const>, size_t k)>;
+    std::span<GradedSource* const>, const ScoringRule& rule, size_t k)>;
 
 Result<std::vector<CostPoint>> SweepCost(const WorkloadFactory& factory,
                                          const AlgorithmRunner& runner,
+                                         const ScoringRule& rule,
                                          const std::vector<size_t>& ns,
                                          size_t m, size_t k, size_t trials,
                                          uint64_t seed);
+
+/// OK when `result` answers the top-k query `rule` over `sources` against
+/// the NaiveAllGrades ground truth: the returned set is a correct top k,
+/// and when `grades_exact` is set every grade is the true one (otherwise
+/// the grades are lower bounds and only the set is checked). Internal when
+/// it does not.
+Status CheckTopK(const TopKResult& result,
+                 std::span<GradedSource* const> sources,
+                 const ScoringRule& rule, size_t k);
 
 /// Fits cost ~ N^slope over a sweep (log-log least squares).
 Result<LinearFit> FitCostExponent(const std::vector<CostPoint>& points);

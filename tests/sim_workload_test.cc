@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <sstream>
 
 #include "common/stats.h"
 #include "middleware/naive.h"
+#include "middleware/nra.h"
 #include "sim/experiment.h"
 
 namespace fuzzydb {
@@ -116,11 +118,11 @@ TEST(SweepCostTest, RunsAndAverages) {
     return IndependentUniform(rng, n, 2);
   };
   AlgorithmRunner runner = [](std::span<GradedSource* const> sources,
-                              size_t k) {
-    return NaiveTopK(sources, *MinRule(), k);
+                              const ScoringRule& rule, size_t k) {
+    return NaiveTopK(sources, rule, k);
   };
   Result<std::vector<CostPoint>> points =
-      SweepCost(factory, runner, {100, 200}, 2, 5, 3, 42);
+      SweepCost(factory, runner, *MinRule(), {100, 200}, 2, 5, 3, 42);
   ASSERT_TRUE(points.ok());
   ASSERT_EQ(points->size(), 2u);
   EXPECT_EQ((*points)[0].cost.total(), 200u);  // naive = m*n
@@ -128,7 +130,57 @@ TEST(SweepCostTest, RunsAndAverages) {
   Result<LinearFit> fit = FitCostExponent(*points);
   ASSERT_TRUE(fit.ok());
   EXPECT_NEAR(fit->slope, 1.0, 1e-9);  // naive is linear in N
-  EXPECT_FALSE(SweepCost(factory, runner, {100}, 2, 5, 0, 42).ok());
+  EXPECT_FALSE(
+      SweepCost(factory, runner, *MinRule(), {100}, 2, 5, 0, 42).ok());
+}
+
+TEST(SweepCostTest, ChecksEveryAnswer) {
+  WorkloadFactory factory = [](Rng* rng, size_t n) {
+    return IndependentUniform(rng, n, 3);
+  };
+  auto sweep = [&](const AlgorithmRunner& runner) {
+    return SweepCost(factory, runner, *ArithmeticMeanRule(), {200}, 3, 5, 2,
+                     42);
+  };
+  // NRA's grades are lower bounds when grades_exact is false; its set is
+  // still checked.
+  EXPECT_TRUE(sweep([](std::span<GradedSource* const> s,
+                       const ScoringRule& rule, size_t k) {
+                return NoRandomAccessTopK(s, rule, k);
+              }).ok());
+
+  // A runner that drops the best object, one that misreports an exact
+  // grade, and one that answers under another rule all fail the sweep.
+  auto naive_then = [](std::function<void(TopKResult*)> spoil) {
+    return [spoil](std::span<GradedSource* const> s, const ScoringRule& rule,
+                   size_t k) -> Result<TopKResult> {
+      Result<TopKResult> r = NaiveTopK(s, rule, k + 1);
+      if (r.ok()) spoil(&*r);
+      return r;
+    };
+  };
+  const std::vector<AlgorithmRunner> wrong{
+      naive_then([](TopKResult* r) { r->items.erase(r->items.begin()); }),
+      naive_then([](TopKResult* r) {
+        r->items.pop_back();
+        r->items[0].grade -= 0.01;
+      }),
+      [](std::span<GradedSource* const> s, const ScoringRule&, size_t k) {
+        return NaiveTopK(s, *MinRule(), k);
+      },
+  };
+  for (const AlgorithmRunner& runner : wrong) {
+    Result<std::vector<CostPoint>> r = sweep(runner);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  }
+
+  // The same misreported grade passes as a lower bound.
+  EXPECT_TRUE(sweep(naive_then([](TopKResult* r) {
+                r->items.pop_back();
+                r->items[0].grade -= 0.01;
+                r->grades_exact = false;
+              })).ok());
 }
 
 }  // namespace
