@@ -4,20 +4,23 @@
 // cannot afford that for every tenant. An AccessGovernor sits between one
 // query's CountingSources and their sorted streams and *truncates* them when
 // the query has spent its budget (or was cancelled, or passed its deadline):
-// every subsequent NextSorted reports exhausted. That reuses the PR-2
-// exhausted-source semantics — TA/A0/NRA/CA already treat an exhausted list
-// as an all-zeros tail and halt with the correct top-k *of the consumed
-// prefix* — so an interrupted query degrades to a well-defined partial
-// result instead of aborting, and ExecuteTopK surfaces the interruption as
-// ExecutionResult::completion (never as a failed Result).
+// every subsequent NextSorted ends the stream. TA/A0/NRA/CA halt on an
+// ended stream as on one that ran out, with the correct top-k *of the
+// consumed prefix*, so an interrupted query degrades to a well-defined
+// partial result instead of aborting, and ExecuteTopK surfaces the
+// interruption as ExecutionResult::completion (never as a failed Result).
+// A refused stream is not a list that ran out, though: the objects it never
+// streamed keep their true grades, so the algorithms still random-access it
+// and NRA/CA do not call a grade missing there exact (SourceSet, cost.h).
 //
 // Determinism: the budget is charged on sorted accesses in the algorithm's
 // own consumption order, so a fixed budget truncates at exactly the same
 // access prefix on every run, and a served partial answer is bit-identical
 // to an ExecuteTopK with the same budget at every server pool size
-// (enforced by tests/server_query_server_test.cc). Cancellation and deadlines are inherently timing-dependent:
-// *whether* they fire is a race, but the result is always some consumed
-// prefix's top-k, and the completion Status says which interruption won.
+// (enforced by tests/server_query_server_test.cc). Cancellation and
+// deadlines are inherently timing-dependent: *whether* they fire is a race,
+// but the result is always some consumed prefix's top-k, and the
+// completion Status says which interruption won.
 
 #ifndef FUZZYDB_MIDDLEWARE_BUDGET_H_
 #define FUZZYDB_MIDDLEWARE_BUDGET_H_
@@ -50,8 +53,8 @@ class AccessGovernor {
   AccessGovernor& operator=(const AccessGovernor&) = delete;
 
   /// Requests cooperative cancellation: every later AdmitSorted refuses, so
-  /// the query's sorted streams all report exhausted and the algorithm
-  /// halts with the prefix top-k. Safe from any thread, idempotent.
+  /// the query's sorted streams all end and the algorithm halts with the
+  /// prefix top-k. Safe from any thread, idempotent.
   void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
 
   bool cancelled() const {

@@ -18,8 +18,11 @@ namespace fuzzydb {
 /// Runs CA with random-access period `h` (>= 1): one candidate is fully
 /// resolved by random access every h parallel sorted rounds. Requires a
 /// monotone rule. Returned grades are exact for resolved winners and
-/// certified lower bounds otherwise (`grades_exact` reports which).
-/// `governor`, when set, gates every sorted access (middleware/budget.h).
+/// certified lower bounds otherwise (`grades_exact` reports which). As in
+/// NRA, only a list that ran out counts as grading its unstreamed objects
+/// 0, and resolution reads that 0 without an access; a list the governor
+/// refused is still probed. `governor`, when set, gates every sorted access
+/// (middleware/budget.h).
 Result<TopKResult> CombinedTopK(std::span<GradedSource* const> sources,
                                 const ScoringRule& rule, size_t k,
                                 size_t h = 1,
