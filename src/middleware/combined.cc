@@ -16,13 +16,14 @@ namespace {
 struct Partial {
   std::vector<double> grades;  // known per-list grades
   std::vector<bool> known;
-  size_t num_known = 0;
 };
 
 struct Bounded {
   ObjectId id = 0;
   double lower = 0.0;
   double upper = 0.0;
+  // Every grade known or on a list that ran out (see complete_of): nothing
+  // left to resolve.
   bool complete = false;
 };
 
@@ -87,6 +88,17 @@ Result<TopKResult> BoundAndStop(std::span<GradedSource* const> sources,
     for (size_t j = 0; j < m; ++j) buf[j] = p.known[j] ? p.grades[j] : last[j];
     return rule.Apply(buf);
   };
+  // Every grade is known or sits on a list that ran out, where an object
+  // missing from the list has grade 0 (Fagin, Lotem and Naor, "Optimal
+  // Aggregation Algorithms for Middleware"): lower_of is then the exact
+  // grade, equal to upper_of, and resolving it would make no access. A list
+  // the governor refused may still grade it above 0.
+  auto complete_of = [&](const Partial& p) {
+    for (size_t j = 0; j < m; ++j) {
+      if (!p.known[j] && !set.ran_out(j)) return false;
+    }
+    return true;
+  };
 
   std::vector<Bounded> winners;
   double prev_unseen_upper = 1.0;
@@ -105,17 +117,19 @@ Result<TopKResult> BoundAndStop(std::span<GradedSource* const> sources,
       if (!p.known[j]) {
         p.known[j] = true;
         p.grades[j] = next->grade;
-        ++p.num_known;
       }
     }
     if (seen.size() < k) continue;
 
     // Stopping rule: the k best lower bounds must dominate every other
     // object's upper bound and the upper bound of unseen objects.
+    // Completeness is read only to pick the object a round resolves.
+    const bool resolves = round % h == 0;
     std::vector<Bounded> bounds;
     bounds.reserve(seen.size());
     for (const auto& [id, p] : seen) {
-      bounds.push_back({id, lower_of(p), upper_of(p), p.num_known == m});
+      bounds.push_back(
+          {id, lower_of(p), upper_of(p), resolves && complete_of(p)});
       // A monotone rule applied to known-or-0 grades can never exceed the
       // same rule applied to known-or-last grades.
       FUZZYDB_INVARIANT(bounds.back().lower <= bounds.back().upper + 1e-12,
@@ -146,7 +160,7 @@ Result<TopKResult> BoundAndStop(std::span<GradedSource* const> sources,
       break;
     }
 
-    if (round % h == 0) {
+    if (resolves) {
       if (const Bounded* c = BlockingCandidate(bounds, k); c != nullptr) {
         Partial& p = seen[c->id];
         for (size_t j = 0; j < m; ++j) {
@@ -154,7 +168,6 @@ Result<TopKResult> BoundAndStop(std::span<GradedSource* const> sources,
             p.grades[j] =
                 set.ran_out(j) ? 0.0 : set.counted(j).RandomAccess(c->id);
             p.known[j] = true;
-            ++p.num_known;
           }
         }
       }
@@ -170,18 +183,11 @@ Result<TopKResult> BoundAndStop(std::span<GradedSource* const> sources,
     if (winners.size() > k) winners.resize(k);
   }
 
-  // A winner's lower bound is its exact grade once every list has either
-  // graded it or run out: an object missing from a list that ran out has
-  // grade 0 there (Fagin, Lotem and Naor, "Optimal Aggregation Algorithms
-  // for Middleware"), the value lower_of already uses. A list the governor
-  // refused may still grade it above 0.
+  // A winner's lower bound is its exact grade once it is complete.
   result.grades_exact = true;
   for (const Bounded& w : winners) {
     result.items.push_back({w.id, w.lower});
-    const Partial& p = seen.at(w.id);
-    for (size_t j = 0; j < m; ++j) {
-      if (!p.known[j] && !set.ran_out(j)) result.grades_exact = false;
-    }
+    if (!complete_of(seen.at(w.id))) result.grades_exact = false;
   }
   std::sort(result.items.begin(), result.items.end(), GradeDescending);
   set.Finalize(&result);

@@ -10,6 +10,8 @@
 // behavior: identical answers to the naive ground truth, with strictly
 // fewer accesses than a full scan.
 
+#include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -311,6 +313,127 @@ TEST(ExhaustedSourcesTest, NoAlgorithmProbesAListThatRanOut) {
     }
     for (const LateProbeCounter& c : counters) EXPECT_EQ(c.late(), 0u);
   }
+}
+
+// Appends every access to one shared log, so a test can cut a run into
+// CA's rounds: each round's sorted accesses, in ascending list order, then
+// its random accesses.
+struct Access {
+  size_t list;
+  bool sorted;
+  std::optional<GradedObject> result;  // a sorted access's answer
+  ObjectId id;                         // a random access's object
+};
+
+class LoggingSource final : public GradedSource {
+ public:
+  LoggingSource(GradedSource* inner, size_t list, std::vector<Access>* log)
+      : inner_(inner), list_(list), log_(log) {}
+  size_t Size() const override { return inner_->Size(); }
+  std::optional<GradedObject> NextSorted() override {
+    std::optional<GradedObject> next = inner_->NextSorted();
+    log_->push_back({list_, true, next, 0});
+    return next;
+  }
+  void RestartSorted() override { inner_->RestartSorted(); }
+  double RandomAccess(ObjectId id) override {
+    log_->push_back({list_, false, std::nullopt, id});
+    return inner_->RandomAccess(id);
+  }
+  std::vector<GradedObject> AtLeast(double threshold) override {
+    return inner_->AtLeast(threshold);
+  }
+
+ private:
+  GradedSource* inner_;
+  size_t list_;
+  std::vector<Access>* log_;
+};
+
+// Rounds of a CA run (h = 1) that continued without a random access
+// although some seen object still had an unknown grade on a list that had
+// not run out: a resolution that made no access. A round may skip its
+// resolution only while fewer than k objects are seen or when every seen
+// object's grades are known or on lists that ran out.
+size_t AccessFreeResolutions(const std::vector<Access>& log, size_t m,
+                             size_t k) {
+  std::vector<bool> ran_out(m, false);
+  std::map<ObjectId, std::vector<bool>> known;
+  size_t wasted = 0;
+  bool random_seen = false;
+  size_t last_sorted = m;  // list of this round's latest sorted access
+  auto check_round = [&] {
+    if (random_seen || known.size() < k) return;
+    for (const auto& [id, lists] : known) {
+      for (size_t j = 0; j < m; ++j) {
+        if (!lists[j] && !ran_out[j]) {
+          ++wasted;
+          return;
+        }
+      }
+    }
+  };
+  for (const Access& a : log) {
+    if (a.sorted && (random_seen || (last_sorted < m && a.list <= last_sorted))) {
+      check_round();  // a new round begins, so the previous one continued
+      random_seen = false;
+    }
+    if (a.sorted) {
+      last_sorted = a.list;
+      if (!a.result.has_value()) {
+        ran_out[a.list] = true;
+        continue;
+      }
+      std::vector<bool>& lists = known[a.result->id];
+      lists.resize(m, false);
+      lists[a.list] = true;
+    } else {
+      random_seen = true;
+      known[a.id][a.list] = true;
+    }
+  }
+  return wasted;
+}
+
+TEST(ExhaustedSourcesTest, CombinedNeverResolvesWithoutAnAccess) {
+  // Two short lists run out early; an object whose only unknown grades sit
+  // on them already has its exact grade, so CA must resolve another one.
+  constexpr size_t kLists = 3;
+  constexpr size_t kTop = 8;
+  size_t wasted = 0;
+  for (uint64_t seed = 0; seed < 2000; ++seed) {
+    Rng rng(9001 + seed);
+    Workload w = IndependentUniform(&rng, 40, kLists);
+    const size_t first = 3 + rng.NextBounded(6);   // 3..8 items
+    const size_t second = 5 + rng.NextBounded(7);  // 5..11 items
+    Result<std::vector<VectorSource>> sources =
+        MakeTruncatedSources(w, {first, second, 40});
+    ASSERT_TRUE(sources.ok());
+    std::vector<GradedSource*> raw = SourcePtrs(*sources);
+    std::vector<Access> log;
+    std::vector<LoggingSource> logged;
+    logged.reserve(kLists);
+    for (size_t j = 0; j < kLists; ++j) logged.emplace_back(raw[j], j, &log);
+    std::vector<GradedSource*> ptrs;
+    for (LoggingSource& l : logged) ptrs.push_back(&l);
+    ScoringRulePtr rule = ArithmeticMeanRule();
+    Result<GradedSet> truth = NaiveAllGrades(raw, *rule);
+    ASSERT_TRUE(truth.ok());
+
+    Result<TopKResult> ca = CombinedTopK(ptrs, *rule, kTop, /*h=*/1);
+    ASSERT_TRUE(ca.ok());
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::vector<GradedObject> at_truth;
+    for (const GradedObject& g : ca->items) {
+      if (ca->grades_exact) {
+        EXPECT_EQ(g.grade, *truth->GradeOf(g.id));
+      }
+      at_truth.push_back({g.id, *truth->GradeOf(g.id)});
+    }
+    EXPECT_TRUE(IsValidTopK(at_truth, *truth, kTop));
+    wasted += AccessFreeResolutions(log, kLists, kTop);
+  }
+  EXPECT_EQ(wasted, 0u);
 }
 
 TEST(ExhaustedSourcesTest, EmptySourceIsAllZeros) {
