@@ -56,23 +56,24 @@ double MicrosPerQuery(std::chrono::steady_clock::time_point a,
 }
 
 // The seed kernel before this layer existed: one left-to-right scalar
-// accumulator per row. A single FP accumulator is a loop-carried dependency
-// the compiler cannot vectorize (FP addition is not associative), so this is
-// the honest baseline for the lane-blocked kernel's speedup.
-double ScalarSquaredDistance(const double* x, const double* y, size_t n) {
-  double acc = 0.0;
-  for (size_t j = 0; j < n; ++j) {
-    const double d = x[j] - y[j];
-    acc += d * d;
-  }
-  return acc;
-}
-
+// accumulator per row, reading the row's column-group lines in dim order. A
+// single FP accumulator is a loop-carried dependency the compiler cannot
+// vectorize (FP addition is not associative), so this is the honest
+// baseline for the lane-blocked kernel's speedup.
 void SeedScalarBatch(const EmbeddingStore& store, std::span<const double> t,
                      std::span<double> out) {
+  constexpr size_t kLine = EmbeddingStore::kGroupDim;
   for (size_t i = 0; i < store.size(); ++i) {
-    out[i] = std::sqrt(ScalarSquaredDistance(store.Row(i).data(), t.data(),
-                                             store.dim()));
+    double acc = 0.0;
+    for (size_t g = 0; g < store.groups(); ++g) {
+      const double* line = store.Line(i, g);
+      const size_t width = std::min(kLine, store.dim() - g * kLine);
+      for (size_t l = 0; l < width; ++l) {
+        const double d = line[l] - t[g * kLine + l];
+        acc += d * d;
+      }
+    }
+    out[i] = std::sqrt(acc);
   }
 }
 

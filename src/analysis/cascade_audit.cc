@@ -125,12 +125,12 @@ AuditReport AuditCascadeEquivalence(const EmbeddingStore& store, size_t k,
     configs.push_back(flipped);
   }
   const size_t queries = std::max<size_t>(options.pairs / 8, 2);
+  std::vector<double> row(store.dim());
   std::vector<double> target(store.dim());
   for (size_t q = 0; q < queries; ++q) {
     // Random targets in the embedded space's bounding box: perturb a
     // random stored row so queries land where the data lives.
-    std::span<const double> row =
-        store.Row(static_cast<size_t>(rng.NextBounded(store.size())));
+    store.CopyRow(static_cast<size_t>(rng.NextBounded(store.size())), row);
     for (size_t j = 0; j < store.dim(); ++j) {
       target[j] = row[j] + 0.1 * (rng.NextDouble() - 0.5);
     }
@@ -180,10 +180,10 @@ AuditReport AuditQuantizedLowerBound(const EmbeddingStore& store,
   const QuantizedStore& quantized = store.quantized();
   Rng rng(options.seed);
   const size_t queries = std::max<size_t>(options.pairs / 8, 2);
+  std::vector<double> row(store.dim());
   std::vector<double> target(store.dim());
   for (size_t q = 0; q < queries; ++q) {
-    std::span<const double> row =
-        store.Row(static_cast<size_t>(rng.NextBounded(store.size())));
+    store.CopyRow(static_cast<size_t>(rng.NextBounded(store.size())), row);
     // Odd queries leave the data's range entirely, forcing query-side code
     // clamping; clamping may only weaken the bound, never break it.
     const double blow_up = (q % 2 == 1) ? 1000.0 : 1.0;
@@ -196,7 +196,7 @@ AuditReport AuditQuantizedLowerBound(const EmbeddingStore& store,
       report.CountCheck();
       const double bound_sq = quantized.LowerBound2(encoded, i);
       SquaredDistanceAccumulator acc;
-      acc.Accumulate(store.Row(i).data(), target.data(), 0, store.dim());
+      store.AccumulateRow(i, target.data(), 0, store.dim(), &acc);
       const double exact_sq = acc.Total();
       if (bound_sq > exact_sq) {
         std::ostringstream out;

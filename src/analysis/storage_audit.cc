@@ -1,5 +1,6 @@
 #include "analysis/storage_audit.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -98,10 +99,13 @@ AuditReport AuditPagingEquivalence(const storage::PagedEmbeddingStore& paged,
   }
 
   // --- Row bytes ----------------------------------------------------------
-  // Every page, every row, every payload double, compared bitwise through
-  // the raw page-read path (no pool, no kernels) — divergence here blames
-  // the file, divergence only below blames the machinery.
+  // Every page, every row, every double of the padded row, compared bitwise
+  // through the raw page-read path (no pool, no kernels) against the RAM
+  // row's column-group lines, whose padding lanes must also be +0.0 —
+  // divergence here blames the file or the scatter into groups, divergence
+  // only below blames the machinery.
   {
+    constexpr size_t kLine = EmbeddingStore::kGroupDim;
     const size_t page_bytes = paged.pool().page_bytes();
     const size_t rows_per_page = page_bytes / (paged.stride() * sizeof(double));
     std::vector<char> page(page_bytes);
@@ -117,14 +121,27 @@ AuditReport AuditPagingEquivalence(const storage::PagedEmbeddingStore& paged,
       }
       const size_t begin = p * rows_per_page;
       const size_t n = std::min(rows_per_page, paged.size() - begin);
-      for (size_t i = 0; i < n; ++i) {
-        const double* disk = reinterpret_cast<const double*>(
-            page.data() + i * paged.stride() * sizeof(double));
-        std::span<const double> mem = ram.Row(begin + i);
-        if (std::memcmp(disk, mem.data(), mem.size() * sizeof(double)) != 0) {
-          report.Fail("row-bytes", "row " + std::to_string(begin + i) +
-                                       " bytes differ between file and RAM");
-          break;
+      for (size_t i = 0; i < n && report.ok(); ++i) {
+        const char* disk = page.data() + i * paged.stride() * sizeof(double);
+        for (size_t g = 0; g < ram.groups() && report.ok(); ++g) {
+          const double* line = ram.Line(begin + i, g);
+          if (std::memcmp(disk + g * sizeof(double) * kLine, line,
+                          sizeof(double) * kLine) != 0) {
+            report.Fail("row-bytes",
+                        "row " + std::to_string(begin + i) + ", group " +
+                            std::to_string(g) +
+                            ": bytes differ between file and RAM");
+            break;
+          }
+          for (size_t j = std::max(ram.dim(), g * kLine);
+               j < (g + 1) * kLine; ++j) {
+            if (std::bit_cast<uint64_t>(line[j - g * kLine]) != 0) {
+              report.Fail("row-bytes", "row " + std::to_string(begin + i) +
+                                           ": padding lane " +
+                                           std::to_string(j) + " is not 0");
+              break;
+            }
+          }
         }
       }
     }

@@ -39,7 +39,8 @@ struct StorageAuditOptions {
 /// Audits `paged` against `ram` (which must hold the same rows, e.g. from
 /// PagedEmbeddingStore::LoadToMemory or the original ingest source):
 ///   - geometry: size/dim/stride agreement, stride = RowStride(dim);
-///   - rows: bit-equal bytes for a deterministic sample of rows;
+///   - rows: every padded on-disk row bit-equal to the RAM row's column-
+///     group lines, whose padding lanes are +0.0;
 ///   - quantized tier: persisted scales/residuals/codes equal rebuilt ones;
 ///   - BatchDistances / ExactKnn / CascadeKnn: bitwise-equal outputs
 ///     (indices, order, and double bits) for every target, serial and at

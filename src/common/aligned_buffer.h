@@ -1,9 +1,9 @@
-// A fixed-size, cache-line-aligned array. Row-major feature buffers (the
-// eigen-space embeddings of image/embedding_store.h, the int8 codes of
-// image/quantized_store.h) live in one of these so batched scans walk
-// contiguous, 64-byte-aligned memory — the layout the vectorizer, the
-// explicit SIMD kernels (aligned 512-bit loads), and the prefetcher all
-// want.
+// A fixed-size, cache-line-aligned array. Feature buffers (the column
+// groups of eigen-space embeddings in image/embedding_store.h, the
+// row-major int8 codes of image/quantized_store.h) live in one of these so
+// batched scans walk contiguous, 64-byte-aligned memory — the layout the
+// vectorizer, the explicit SIMD kernels (aligned 512-bit loads), and the
+// prefetcher all want.
 //
 // The alignment is a hard guarantee, not a fast path: allocation failure
 // aborts instead of degrading to an unaligned or null buffer (the release

@@ -50,15 +50,41 @@ struct SquaredDistanceAccumulator {
       const double d = x[j] - y[j];
       lanes[j % kLanes] += d * d;
     }
-    for (; j + kLanes <= end; j += kLanes) {
-      for (size_t l = 0; l < kLanes; ++l) {  // the vector block
-        const double d = x[j + l] - y[j + l];
-        lanes[l] += d * d;
-      }
-    }
+    for (; j + kLanes <= end; j += kLanes) AccumulateBlock(x + j, y + j);
     for (; j < end; ++j) {
       const double d = x[j] - y[j];
       lanes[j % kLanes] += d * d;
+    }
+  }
+
+  /// Adds (x[l] - y[l])^2 to lane l for every l < kLanes: one whole lane
+  /// block, the vector body of every accumulation.
+  inline void AccumulateBlock(const double* FUZZYDB_RESTRICT x,
+                              const double* FUZZYDB_RESTRICT y) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      const double d = x[l] - y[l];
+      lanes[l] += d * d;
+    }
+  }
+
+  /// Accumulate for an x stored as column groups: dims [8g, 8g + 8) of x
+  /// are the kLanes doubles at x + g * group_stride (one cache line per
+  /// group). Group g's slice runs at offset 8g, so dim j still lands in lane
+  /// j % kLanes and each lane still sums in ascending j: the lane state is
+  /// bit-identical to Accumulate over a contiguous copy of x.
+  inline void AccumulateGroups(const double* FUZZYDB_RESTRICT x,
+                               size_t group_stride,
+                               const double* FUZZYDB_RESTRICT y,
+                               size_t begin, size_t end) {
+    for (size_t first = begin - begin % kLanes; first < end; first += kLanes) {
+      const double* FUZZYDB_RESTRICT line = x + first / kLanes * group_stride;
+      const size_t lo = begin > first ? begin - first : 0;
+      const size_t hi = end - first < kLanes ? end - first : kLanes;
+      if (lo == 0 && hi == kLanes) {
+        AccumulateBlock(line, y + first);
+      } else {
+        Accumulate(line, y + first, lo, hi);
+      }
     }
   }
 

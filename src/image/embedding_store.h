@@ -3,16 +3,20 @@
 //
 // At ingest every histogram x is projected once into eigen-space,
 // e_j(x) = sqrt(λ_j)·⟨x, v_j⟩ over all k eigenpairs of B = P A P — an O(k^2)
-// cost paid once per object. The embeddings live in one flat, row-major,
-// cache-line-aligned buffer. Query time then gets three things:
+// cost paid once per object. The embeddings live in one cache-line-aligned
+// buffer laid out as column groups (DESIGN §3c): group g holds dims
+// [8g, 8g + 8) of every row, one 64-byte line per row, so a scan that reads
+// only a prefix of the dimensions touches only the lines it uses. Query
+// time then gets three things:
 //
 //   1. exact distances in O(k): d(x, y) = |e(x) - e(y)|_2, no allocation;
 //   2. a *cascade* of lower bounds: the eigenvalues are sorted descending,
 //      so the partial sum over any prefix of embedding dimensions already
 //      lower-bounds d^2 — formula (2) is the s = 3 special case, and every
 //      s in 1..k is a valid filter level with no false dismissals;
-//   3. batched kernels over the contiguous buffer that the compiler can
-//      keep in registers / vectorize (one row per object, unit stride).
+//   3. batched kernels over the groups that the compiler can keep in
+//      registers / vectorize (one aligned 8-double line per row per group);
+//      an s-dim prefix scan reads ceil(s / 8) lines per row, not the row.
 //
 // The paper's distance-bounding filter ([HSE+95]) keeps a short summary x̂
 // of each histogram with a cheap distance d̂ such that
@@ -45,6 +49,7 @@
 #include <vector>
 
 #include "common/aligned_buffer.h"
+#include "common/squared_distance.h"
 #include "common/thread_pool.h"
 #include "image/knn_kernel.h"
 #include "image/quadratic_distance.h"
@@ -56,20 +61,29 @@ namespace fuzzydb {
 // the disk-backed storage::PagedEmbeddingStore — both stores execute the
 // same templated kernels, which is what makes their answers bit-identical.
 
-/// A flat row-major collection of eigen-space embeddings: row i is the full
-/// k-dim embedding of object i. Rows are padded to a whole number of cache
-/// lines (stride() >= dim() doubles, zero pad) so every row start is
-/// 64-byte aligned — the layout full-cacheline block kernels and aligned
-/// vector loads require.
+/// The eigen-space embeddings of a collection: row i is the full k-dim
+/// embedding of object i. Rows are padded to a whole number of cache lines
+/// (stride() >= dim() doubles, zero pad) and stored as stride() / 8 column
+/// groups: group g is one contiguous, 64-byte-aligned array holding dims
+/// [8g, 8g + 8) of every row, one line per row. No row is contiguous, so
+/// rows go in and out by copy (SetRow, CopyRow) and distances to a row come
+/// from AccumulateRow / Distance, which leave the same bits as the
+/// contiguous kernels over a copy of the row.
 class EmbeddingStore {
  public:
+  /// Doubles per group line: one 64-byte cache line, and the lane width of
+  /// SquaredDistanceAccumulator, which is what makes group-wise
+  /// accumulation bit-identical to a contiguous one.
+  static constexpr size_t kGroupDim = SquaredDistanceAccumulator::kLanes;
+  static_assert(kGroupDim * sizeof(double) == AlignedBuffer::kAlignment);
+
   /// An empty store; usable instances come from Build() or the sizing
-  /// constructor plus MutableRow() fills.
+  /// constructor plus SetRow() fills.
   EmbeddingStore() = default;
 
   /// A zero-filled store for `count` embeddings of dimension `dim`
-  /// (ingest-time API: fill rows via MutableRow + EmbedInto, then
-  /// optionally BuildQuantized()).
+  /// (ingest-time API: fill rows via SetRow, then optionally
+  /// BuildQuantized()).
   EmbeddingStore(size_t count, size_t dim)
       : size_(count), dim_(dim), stride_(RowStride(dim)),
         data_(count * stride_) {}
@@ -81,37 +95,55 @@ class EmbeddingStore {
 
   size_t size() const { return size_; }
   size_t dim() const { return dim_; }
-  /// Doubles between consecutive row starts: dim() rounded up to a whole
-  /// cache line so every row is 64-byte aligned.
+  /// Padded doubles per row: dim() rounded up to a whole cache line, i.e.
+  /// kGroupDim times the number of column groups.
   size_t stride() const { return stride_; }
+  /// Column groups per row: stride() / kGroupDim.
+  size_t groups() const { return stride_ / kGroupDim; }
 
-  /// The stored embedding of object i.
-  std::span<const double> Row(size_t i) const {
-    return {data_.data() + i * stride_, dim_};
+  /// Row i's line in group g: its dims [8g, 8g + 8), 64-byte aligned; lanes
+  /// past dim() are zero.
+  const double* Line(size_t i, size_t g) const {
+    return data_.data() + LineStart(i, g);
   }
-  /// Writable row for ingest.
-  std::span<double> MutableRow(size_t i) {
-    return {data_.data() + i * stride_, dim_};
+
+  /// Copies row i's dim() doubles into `out` (out.size() == dim()).
+  void CopyRow(size_t i, std::span<double> out) const;
+  /// Writes row i from `row` (row.size() == dim()); the padding stays 0.
+  void SetRow(size_t i, std::span<const double> row);
+
+  /// Adds (row_i[j] - t[j])^2 for j in [begin, end) to `acc`, bit for bit
+  /// as acc->Accumulate would over a contiguous copy of row i: any split of
+  /// a row into ranges leaves the same accumulator.
+  void AccumulateRow(size_t i, const double* t, size_t begin, size_t end,
+                     SquaredDistanceAccumulator* acc) const {
+    acc->AccumulateGroups(Line(i, 0), size_ * kGroupDim, t, begin, end);
   }
+  /// |row_i - target|_2 over all dim() dims: the same bits as
+  /// BatchDistances' out[i].
+  double Distance(size_t i, std::span<const double> target) const;
 
   /// (Re)builds the int8 scalar-quantized companion from the current rows.
   /// Build() does this automatically; the sizing-constructor ingest path
   /// calls it once the rows are filled. O(size * dim); adds ~dim bytes per
   /// row of memory.
   void BuildQuantized() {
-    quantized_ = QuantizedStore::Build(data_.data(), size_, dim_, stride_);
+    quantized_ = QuantizedStore::Build(
+        size_, dim_, [this](size_t i, std::span<double> out) {
+          CopyRow(i, out);
+        });
   }
   bool has_quantized() const { return !quantized_.empty(); }
   /// The int8 tier (empty() when not built).
   const QuantizedStore& quantized() const { return quantized_; }
 
-  /// The batched exact kernel: out[i] = |Row(i) - target|_2 for every
+  /// The batched exact kernel: out[i] = |row_i - target|_2 for every
   /// stored object. `target` must be a full-dimension embedding (from
   /// QuadraticFormDistance::Embed) and `out` must have size() entries.
-  /// Contiguous unit-stride passes over the buffer, split into `shards`
-  /// row ranges scanned concurrently on `pool` (default: one per pool
-  /// executor; one serial pass without a pool). Bit-identical at every
-  /// shard count — rows are independent.
+  /// Passes over the column groups, split into `shards` row ranges scanned
+  /// concurrently on `pool` (default: one per pool executor; one serial
+  /// pass without a pool). Bit-identical at every shard count — rows are
+  /// independent.
   void BatchDistances(std::span<const double> target, std::span<double> out,
                       ThreadPool* pool = nullptr, size_t shards = 0) const;
 
@@ -141,9 +173,11 @@ class EmbeddingStore {
       const CascadeOptions& options = {}, CascadeStats* stats = nullptr,
       ThreadPool* pool = nullptr, size_t shards = 0) const;
 
-  /// Doubles between row starts for a given dim: dim rounded up to a whole
-  /// cache line. Public so the on-disk column format (src/storage) can
-  /// promise the identical layout — paged rows must alias RAM rows exactly.
+  /// Padded doubles per row for a given dim: dim rounded up to a whole
+  /// cache line. The on-disk column format (src/storage) stores its rows
+  /// row-major at this stride: each holds the same doubles and zero pad as
+  /// the RAM row, but no longer aliases it, since RAM rows are split into
+  /// column groups.
   static size_t RowStride(size_t dim) {
     constexpr size_t kDoublesPerLine =
         AlignedBuffer::kAlignment / sizeof(double);
@@ -151,6 +185,11 @@ class EmbeddingStore {
   }
 
  private:
+  // Index in data_ of row i's line in group g.
+  size_t LineStart(size_t i, size_t g) const {
+    return (g * size_ + i) * kGroupDim;
+  }
+
   size_t size_ = 0;
   size_t dim_ = 0;
   size_t stride_ = 0;

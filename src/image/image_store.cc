@@ -67,8 +67,7 @@ Result<ImageStore> ImageStore::Generate(const ImageStoreOptions& options) {
         const size_t i = store.images_.size();
         store.images_.push_back(rec);
         store.turning_table_.Add(rec.shape);
-        std::span<double> dest = store.embeddings_.MutableRow(i);
-        std::copy(embedding.begin(), embedding.end(), dest.begin());
+        store.embeddings_.SetRow(i, embedding);
         return Status::OK();
       });
   if (!streamed.ok()) return streamed.status();

@@ -50,9 +50,10 @@ Result<GeminiIndex> GeminiIndex::Build(
   const size_t dim = index.summary_dim_;
   std::vector<ObjectId> ids(database->size());
   std::vector<double> coords(database->size() * dim);
+  std::vector<double> row(index.embeddings_.dim());
   for (size_t i = 0; i < database->size(); ++i) {
     ids[i] = i;
-    std::span<const double> row = index.embeddings_.Row(i);
+    index.embeddings_.CopyRow(i, row);
     for (size_t j = 0; j < dim; ++j) {
       coords[i * dim + j] =
           std::clamp((row[j] + index.offset_) * index.scale_, 0.0, 1.0);
@@ -99,14 +100,14 @@ Result<std::vector<std::pair<size_t, double>>> GeminiIndex::Knn(
     // a time, abandoning the candidate as soon as its partial sum — a lower
     // bound on d^2 at every depth — exceeds the current k-th best. A pruned candidate would have been
     // rejected by the full comparison too, so results are unchanged.
-    const double* row = embeddings_.Row(idx).data();
     ++candidates_refined;  // pruned or not, this candidate costs work
     SquaredDistanceAccumulator acc;
     size_t j = 0;
     bool pruned = false;
     while (j < dim && !pruned) {
       const size_t next_depth = std::min(dim, j + kRefineStep);
-      acc.Accumulate(row, target_embedding.data(), j, next_depth);
+      embeddings_.AccumulateRow(idx, target_embedding.data(), j, next_depth,
+                                &acc);
       j = next_depth;
       if (j < dim && best.size() >= k && acc.Total() > kth2) pruned = true;
     }

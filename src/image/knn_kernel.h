@@ -8,14 +8,28 @@
 // literally the same code in literally the same order — so the exact top-k
 // selection, the multi-level cascade, and the driver that shards, merges
 // and counts them live here as templates over a RowAccessor, and each store
-// supplies only the row-fetching policy:
+// supplies only how a row is fetched and how its dims are laid out:
 //
 //   struct RowAccessor {
-//     // Pointer to row i's doubles (valid until the next Acquire on this
-//     // accessor), or nullptr when the row cannot be read (I/O failure) —
-//     // the kernel then abandons the shard and the driver surfaces the
-//     // accessor's status(). A RAM-resident store never fails.
+//     // Handle of row i (valid until the next Acquire on this accessor), or
+//     // nullptr when the row cannot be read (I/O failure) — the kernel then
+//     // abandons the shard and the driver surfaces the accessor's status().
+//     // A RAM-resident store never fails.
 //     const double* Acquire(size_t i);
+//     // Adds (row[j] - t[j])^2 for j in [begin, end) to `acc`, where `row`
+//     // is a handle from Acquire: the RAM store walks its column groups
+//     // (SquaredDistanceAccumulator::AccumulateGroups), the paged store runs
+//     // one contiguous Accumulate over its row-major page row. Both leave
+//     // the same lane state for the same doubles.
+//     void Accumulate(SquaredDistanceAccumulator& acc, const double* row,
+//                     const double* t, size_t begin, size_t end) const;
+//     // The scans' batch form: out[r] = the Total() of one Accumulate over
+//     // [0, end) on row first + r, for every r < out.size(); false iff a
+//     // row cannot be read. The RAM store walks a tile of rows across the
+//     // column groups, so every group's lines stream in order; the paged
+//     // store runs row by row.
+//     bool PrefixDistances2(size_t first, const double* t, size_t end,
+//                           std::span<double> out);
 //     // Why Acquire returned nullptr; OK until it does.
 //     Status status() const;
 //   };
@@ -23,8 +37,8 @@
 // Everything numeric — the split-invariant SquaredDistanceAccumulator, the
 // (d^2, index) lexicographic selection, the strict-> early-termination rule,
 // the quantized level −1 ordering — is shared, so a divergence between the
-// two stores can only come from the bytes of the rows themselves, which the
-// column-file format preserves exactly (doubles are written verbatim).
+// two stores can only come from the doubles of the rows themselves, which
+// the column-file format preserves exactly (doubles are written verbatim).
 //
 // One accessor instance is used per shard, by one thread; accessors
 // themselves need no synchronization (the buffer pool underneath the paged
@@ -190,6 +204,11 @@ inline void OfferSmallest(std::vector<std::pair<double, size_t>>* heap,
   }
 }
 
+// Rows per scan slice: a bound pass fills this many bounds with one
+// batched call (QuantizedStore::LowerBounds2Range or the accessor's
+// PrefixDistances2), then selects over them while they are in L1.
+constexpr size_t kBoundSlice = 4096;
+
 // The exact top-k kernel restricted to rows [range.begin, range.end):
 // fills the empty `best` with up to k local-best (d^2, index) pairs
 // (unsorted; ToOutput sorts them). Returns false iff the accessor failed
@@ -200,17 +219,16 @@ bool ExactKnnShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT target,
                    std::vector<std::pair<double, size_t>>* best) {
   k = std::min(k, range.size());
   best->reserve(k);
-  for (size_t i = range.begin; i < range.end; ++i) {
-    const double* FUZZYDB_RESTRICT row = rows.Acquire(i);
-    if (row == nullptr) return false;
-    OfferSmallest(best, k, SquaredDistance(row, target, dim), i);
+  thread_local std::vector<double> d2;  // per-thread scratch
+  for (size_t lo = range.begin; lo < range.end; lo += kBoundSlice) {
+    d2.resize(std::min(kBoundSlice, range.end - lo));
+    if (!rows.PrefixDistances2(lo, target, dim, d2)) return false;
+    for (size_t r = 0; r < d2.size(); ++r) {
+      OfferSmallest(best, k, d2[r], lo + r);
+    }
   }
   return true;
 }
-
-// Rows per level −1 slice: the bound pass fills this many bounds with one
-// batched QuantizedStore call, then selects over them while they are in L1.
-constexpr size_t kBoundSlice = 4096;
 
 // The cascade restricted to rows [range.begin, range.end): appends up to
 // k local best (d^2, index) pairs to `best` (unsorted) and adds this
@@ -261,24 +279,20 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
     full = chunk.size() == capacity;
     if (full) top = chunk.front().first;
   };
-  if (qquery != nullptr) {
-    for (size_t lo = 0; lo < n; lo += kBoundSlice) {
-      const std::span<double> slice =
-          std::span<double>(bound).subspan(lo, std::min(kBoundSlice, n - lo));
+  for (size_t lo = 0; lo < n; lo += kBoundSlice) {
+    const std::span<double> slice =
+        std::span<double>(bound).subspan(lo, std::min(kBoundSlice, n - lo));
+    if (qquery != nullptr) {
       qs->LowerBounds2Range(*qquery, range.begin + lo, slice);
-      for (size_t r = 0; r < slice.size(); ++r) select(lo + r, slice[r]);
+    } else if (!rows.PrefixDistances2(range.begin + lo, t, s0, slice)) {
+      return false;
     }
+    for (size_t r = 0; r < slice.size(); ++r) select(lo + r, slice[r]);
+  }
+  if (qquery != nullptr) {
     stats->quantized_bound_computations += n;
     stats->bytes_scanned_quantized += n * qs->row_bytes();
   } else {
-    for (size_t i = 0; i < n; ++i) {
-      const double* FUZZYDB_RESTRICT row = rows.Acquire(range.begin + i);
-      if (row == nullptr) return false;
-      SquaredDistanceAccumulator prefix;
-      prefix.Accumulate(row, t, 0, s0);
-      bound[i] = prefix.Total();
-      select(i, bound[i]);
-    }
     stats->bound_computations += n;
     stats->bytes_scanned_prefix += n * s0 * sizeof(double);
   }
@@ -300,13 +314,13 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
     // Refine dimension-incrementally from the s0-dim prefix, early-exiting
     // as soon as the partial sum (a valid lower bound at every length)
     // provably exceeds the current k-th best.
-    const double* FUZZYDB_RESTRICT row = rows.Acquire(idx);
+    const double* row = rows.Acquire(idx);
     if (row == nullptr) return false;
     // In float mode this recomputes the bound pass's prefix rather than
     // storing it per row: the accumulator is split-invariant, so the state
     // is bit-identical, and the counters charged the prefix once, above.
     SquaredDistanceAccumulator acc;
-    acc.Accumulate(row, t, 0, s0);
+    rows.Accumulate(acc, row, t, 0, s0);
     bool pruned = false;
     if (qquery != nullptr) {
       // Level 0 runs lazily: the float prefix is read only for candidates
@@ -322,7 +336,7 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
     while (j < dim && !pruned) {
       const size_t stop = std::min(dim, j + step);
       const double before = acc.Total();
-      acc.Accumulate(row, t, j, stop);
+      rows.Accumulate(acc, row, t, j, stop);
       j = stop;
       // The cascade is dismissal-free only while every level lower-bounds
       // the next ([HSE+95]): accumulating non-negative squared terms can

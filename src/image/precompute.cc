@@ -25,9 +25,11 @@ Result<PairwiseDistanceCache> PairwiseDistanceCache::Build(
   const std::vector<ShardRange> shards =
       MakeShards(n - 1, std::min<size_t>(pool->executors(), n - 1));
   pool->ParallelFor(shards.size(), [&](size_t s) {
+    std::vector<double> target(embeddings.dim());
     std::vector<double> row(n);
     for (size_t i = shards[s].begin + 1; i < shards[s].end + 1; ++i) {
-      embeddings.BatchDistances(embeddings.Row(i), row);
+      embeddings.CopyRow(i, target);
+      embeddings.BatchDistances(target, row);
       std::copy(row.begin(), row.begin() + static_cast<long>(i),
                 cache.packed_.begin() + static_cast<long>(i * (i - 1) / 2));
     }

@@ -67,11 +67,11 @@ QuantizedStore QuantizedStore::FromParts(size_t size, size_t dim,
   return store;
 }
 
-QuantizedStore QuantizedStore::Build(const double* rows, size_t size,
-                                     size_t dim, size_t stride) {
+QuantizedStore QuantizedStore::Build(size_t size, size_t dim,
+                                     const RowReader& read_row) {
   QuantizedStore store;
   if (size == 0 || dim == 0) return store;
-  assert(dim <= kMaxBlocks * kBlockDim && stride >= dim);
+  assert(dim <= kMaxBlocks * kBlockDim);
   store.size_ = size;
   store.dim_ = dim;
   store.blocks_ = (dim + kBlockDim - 1) / kBlockDim;
@@ -81,9 +81,10 @@ QuantizedStore QuantizedStore::Build(const double* rows, size_t size,
   store.bounds_ = simd::ResolveBounds(store.kernel_level_);
 
   // Per-block scales from the data's own maxima: stored codes never clamp.
+  std::vector<double> row(dim);
   store.scales_.assign(store.blocks_, 0.0);
   for (size_t i = 0; i < size; ++i) {
-    const double* row = rows + i * stride;
+    read_row(i, row);
     for (size_t j = 0; j < dim; ++j) {
       store.scales_[j / kBlockDim] =
           std::max(store.scales_[j / kBlockDim], std::fabs(row[j]));
@@ -98,9 +99,9 @@ QuantizedStore QuantizedStore::Build(const double* rows, size_t size,
   store.codes_ = AlignedArray<int8_t>(size * store.padded_);
   store.residuals_.resize(size);
   for (size_t i = 0; i < size; ++i) {
-    store.residuals_[i] =
-        EncodeRowAgainst(rows + i * stride, dim, store.scales_,
-                  store.codes_.data() + i * store.padded_);
+    read_row(i, row);
+    store.residuals_[i] = EncodeRowAgainst(
+        row.data(), dim, store.scales_, store.codes_.data() + i * store.padded_);
   }
   return store;
 }

@@ -41,6 +41,7 @@
 #ifndef FUZZYDB_IMAGE_QUANTIZED_STORE_H_
 #define FUZZYDB_IMAGE_QUANTIZED_STORE_H_
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -61,11 +62,14 @@ class QuantizedStore {
 
   QuantizedStore() = default;
 
-  /// Quantizes `size` rows of `dim` doubles laid out with `stride` doubles
-  /// between row starts (the EmbeddingStore layout). dim must be at most
-  /// kMaxBlocks * kBlockDim.
-  static QuantizedStore Build(const double* rows, size_t size, size_t dim,
-                              size_t stride);
+  /// Copies row i's `dim` doubles into `out` (out.size() == dim).
+  using RowReader = std::function<void(size_t i, std::span<double> out)>;
+
+  /// Quantizes `size` rows of `dim` doubles, each read through `read_row`
+  /// (EmbeddingStore::CopyRow for the RAM store's column groups). dim must
+  /// be at most kMaxBlocks * kBlockDim.
+  static QuantizedStore Build(size_t size, size_t dim,
+                              const RowReader& read_row);
 
   /// Number of scale blocks for a given dim.
   static size_t NumBlocks(size_t dim) {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/squared_distance.h"
 #include "image/image_store.h"
 
 namespace fuzzydb {
@@ -80,14 +79,12 @@ double RtreeKnnSource::ExactDistance(size_t index,
     auto it = exact_->map.find(index);
     if (it != exact_->map.end()) return it->second;
   }
-  const EmbeddingStore& store = index_->embeddings();
   // The same per-row arithmetic as EmbeddingStore::BatchDistances — equal
   // inputs, bit-equal distance, bit-equal grade. Computed outside the cache
   // lock: two racing probes may both pay for the same row, but the kernel
   // is deterministic so whichever emplace lands first wins with the same
   // bits (stats are per-cursor and owned by the calling thread).
-  double d = std::sqrt(SquaredDistance(store.Row(index).data(),
-                                       target_embedding_.data(), store.dim()));
+  double d = index_->embeddings().Distance(index, target_embedding_);
   ++stats->refinements;
   MutexLock lock(exact_->mu);
   exact_->map.emplace(index, d);

@@ -2,10 +2,13 @@
 //
 // One file = one embedding column: N fixed-stride rows of doubles, packed
 // into fixed-size pages that rows never straddle, behind a checksummed
-// header. The layout promise is exact: a row's bytes on disk are the same
-// doubles, at the same stride (EmbeddingStore::RowStride — whole cache
-// lines), as the RAM-resident store's rows, so any kernel that runs over a
-// pinned page computes bit-identical results to the in-memory scan.
+// header. The value promise is exact: a row on disk holds the same doubles
+// and zero pad as the RAM-resident store's row, row-major at
+// EmbeddingStore::RowStride (whole cache lines). It no longer aliases the
+// RAM row, which the store splits into 8-dim column groups; the distance
+// accumulator maps dim j to lane j mod 8 either way, so any kernel that
+// runs over a pinned page computes bit-identical results to the in-memory
+// scan.
 //
 //   [ header block: FileHeader + eigenbasis metadata, FNV-1a checksummed ]
 //   [ data pages:   page p holds rows [p*rpp, (p+1)*rpp), zero-padded     ]

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
 
 #include "common/squared_distance.h"
@@ -41,6 +40,23 @@ class PagedRows {
       current_page_ = page;
     }
     return handle_.doubles() + (i - page * rows_per_page_) * stride_;
+  }
+
+  /// One contiguous pass: page rows are row-major.
+  void Accumulate(SquaredDistanceAccumulator& acc, const double* row,
+                  const double* t, size_t begin, size_t end) const {
+    acc.Accumulate(row, t, begin, end);
+  }
+
+  /// Row by row, one contiguous pass each.
+  bool PrefixDistances2(size_t first, const double* t, size_t end,
+                        std::span<double> out) {
+    for (size_t r = 0; r < out.size(); ++r) {
+      const double* row = Acquire(first + r);
+      if (row == nullptr) return false;
+      out[r] = SquaredDistance(row, t, end);
+    }
+    return true;
   }
 
   /// The error that made Acquire return nullptr (OK until then).
@@ -140,11 +156,10 @@ Status PagedEmbeddingStore::BatchDistances(std::span<const double> target,
       pool, ranges.size(),
       [this] { return PagedRows(*file_, *pool_, options_.readahead_pages); },
       [&](PagedRows& rows, size_t s) {
-        for (size_t i = ranges[s].begin; i < ranges[s].end; ++i) {
-          const double* FUZZYDB_RESTRICT row = rows.Acquire(i);
-          if (row == nullptr) return false;
-          out[i] = std::sqrt(SquaredDistance(row, t, d));
-        }
+        const std::span<double> mine =
+            out.subspan(ranges[s].begin, ranges[s].size());
+        if (!rows.PrefixDistances2(ranges[s].begin, t, d, mine)) return false;
+        for (double& dist : mine) dist = std::sqrt(dist);
         return true;
       });
 }
@@ -199,18 +214,19 @@ Result<std::vector<std::pair<size_t, double>>> PagedEmbeddingStore::CascadeKnn(
 Result<EmbeddingStore> PagedEmbeddingStore::LoadToMemory() const {
   EmbeddingStore store(size(), dim());
   // Page-by-page sequential copy through a private buffer, bypassing the
-  // pool (a one-shot full scan would only churn its frames).
-  std::vector<char> page(file_->page_bytes());
+  // pool (a one-shot full scan would only churn its frames). Each page row
+  // is scattered straight into the store's column groups.
+  std::vector<double> page(file_->page_bytes() / sizeof(double));
+  const std::span<char> page_bytes(reinterpret_cast<char*>(page.data()),
+                                   file_->page_bytes());
   const size_t rpp = file_->rows_per_page();
-  const size_t row_bytes = stride() * sizeof(double);
   for (uint64_t p = 0; p < file_->num_pages(); ++p) {
     file_->Advise(p + 1, options_.readahead_pages);
-    FUZZYDB_RETURN_NOT_OK(ReadPage(p, page));
+    FUZZYDB_RETURN_NOT_OK(ReadPage(p, page_bytes));
     const size_t begin = p * rpp;
     const size_t n = std::min(rpp, size() - begin);
     for (size_t i = 0; i < n; ++i) {
-      std::memcpy(store.MutableRow(begin + i).data(),
-                  page.data() + i * row_bytes, dim() * sizeof(double));
+      store.SetRow(begin + i, {page.data() + i * stride(), dim()});
     }
   }
   store.BuildQuantized();

@@ -107,9 +107,10 @@ class PagedEmbeddingStore {
       const CascadeOptions& options = {}, CascadeStats* stats = nullptr,
       ThreadPool* pool = nullptr, size_t shards = 0) const;
 
-  /// Materializes the whole column as a RAM-resident EmbeddingStore (with
-  /// its quantized companion rebuilt — bit-identical to the persisted one,
-  /// same arithmetic). For consumers that genuinely need residency, e.g.
+  /// Materializes the whole column as a RAM-resident EmbeddingStore (each
+  /// page row scattered straight into the store's column groups, no
+  /// row-major copy; its quantized companion rebuilt — bit-identical to the
+  /// persisted one, same arithmetic). For consumers that genuinely need residency, e.g.
   /// the GEMINI R-tree build; everything else should query through paging.
   Result<EmbeddingStore> LoadToMemory() const;
 

@@ -138,8 +138,10 @@ TEST_F(CascadeAuditTest, QuantizedAuditRejectsAStoreWithoutTheCompanion) {
   // must refuse the precondition, not vacuously pass.
   Rng rng(4321);
   EmbeddingStore bare(4, 27);
+  std::vector<double> row(27);
   for (size_t i = 0; i < 4; ++i) {
-    qfd_.EmbedInto(RandomHistogram(&rng, 27), bare.MutableRow(i));
+    qfd_.EmbedInto(RandomHistogram(&rng, 27), row);
+    bare.SetRow(i, row);
   }
   AuditReport report = AuditQuantizedLowerBound(bare);
   EXPECT_FALSE(report.ok());

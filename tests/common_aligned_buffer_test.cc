@@ -87,10 +87,11 @@ TEST(AlignedArrayTest, EmptyArrayIsValidAndNull) {
   EXPECT_EQ(copy.size(), 0u);
 }
 
-TEST(AlignedArrayTest, EveryEmbeddingStoreRowStartsOnACacheLine) {
-  // The store pads its row stride to whole cache lines; audit the claim at
-  // dimensions around the 8-double line boundary, including the ingest-time
-  // constructor path.
+TEST(AlignedArrayTest, EveryEmbeddingStoreGroupLineStartsOnACacheLine) {
+  // The store pads its rows to whole cache lines and keeps each 8-dim
+  // column group as one line per row; audit that every line of every group
+  // is 64-byte aligned at dimensions around the 8-double line boundary,
+  // including the ingest-time constructor path.
   Rng rng(77);
   for (size_t bins : {3u, 8u, 9u, 27u, 64u}) {
     Palette palette = Palette::Uniform(bins, &rng);
@@ -99,14 +100,19 @@ TEST(AlignedArrayTest, EveryEmbeddingStoreRowStartsOnACacheLine) {
     for (size_t i = 0; i < 5; ++i) db.push_back(RandomHistogram(&rng, bins));
     EmbeddingStore store = *EmbeddingStore::Build(qfd, db);
     EXPECT_GE(store.stride(), store.dim());
+    EXPECT_EQ(store.groups() * EmbeddingStore::kGroupDim, store.stride());
     for (size_t i = 0; i < store.size(); ++i) {
-      EXPECT_TRUE(Aligned64(store.Row(i).data()))
-          << "bins=" << bins << " row=" << i;
+      for (size_t g = 0; g < store.groups(); ++g) {
+        EXPECT_TRUE(Aligned64(store.Line(i, g)))
+            << "bins=" << bins << " row=" << i << " group=" << g;
+      }
     }
     EmbeddingStore sized(4, bins);
     for (size_t i = 0; i < sized.size(); ++i) {
-      EXPECT_TRUE(Aligned64(sized.MutableRow(i).data()))
-          << "sized bins=" << bins << " row=" << i;
+      for (size_t g = 0; g < sized.groups(); ++g) {
+        EXPECT_TRUE(Aligned64(sized.Line(i, g)))
+            << "sized bins=" << bins << " row=" << i << " group=" << g;
+      }
     }
   }
 }

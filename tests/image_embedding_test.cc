@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <random>
+#include <string>
 
 #include "image/image_store.h"
 #include "tests/cascade_reference.h"
@@ -81,10 +84,11 @@ TEST(EmbeddingTest, BatchDistancesMatchesPairwiseDistances) {
   std::vector<double> target_embedding = qfd.Embed(target);
   std::vector<double> batch(db.size());
   store.BatchDistances(target_embedding, batch);
+  std::vector<double> row(store.dim());
   for (size_t i = 0; i < db.size(); ++i) {
     EXPECT_NEAR(batch[i], qfd.Distance(db[i], target), 1e-9) << "row " << i;
-    EXPECT_DOUBLE_EQ(
-        batch[i], EuclideanDistance(store.Row(i), target_embedding));
+    store.CopyRow(i, row);
+    EXPECT_DOUBLE_EQ(batch[i], EuclideanDistance(row, target_embedding));
   }
 }
 
@@ -106,11 +110,58 @@ TEST(EmbeddingTest, ImageStoreEmbedsAtIngest) {
   ASSERT_EQ(embeddings.size(), store->size());
   ASSERT_EQ(embeddings.dim(), 27u);
   const QuadraticFormDistance& qfd = store->color_distance();
+  std::vector<double> row(embeddings.dim());
   for (size_t i = 0; i < store->size(); i += 9) {
     std::vector<double> expected = qfd.Embed(store->image(i).histogram);
-    std::span<const double> row = embeddings.Row(i);
+    embeddings.CopyRow(i, row);
     for (size_t j = 0; j < expected.size(); ++j) {
       EXPECT_DOUBLE_EQ(row[j], expected[j]);
+    }
+  }
+}
+
+// The RAM store keeps rows as 8-dim column groups; accumulating a row over
+// any split [0, a), [a, b), [b, dim) one group at a time must leave the
+// same lane state, bit for bit, as one contiguous pass over a copy of the
+// row, and the same total as SquaredDistance, at dims short of, equal to,
+// just past and far beyond one 8-double line.
+TEST(EmbeddingGroupsTest, GroupWiseAccumulationIsBitIdenticalAtEverySplit) {
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (size_t dim : {1u, 3u, 8u, 9u, 27u, 32u, 64u, 1024u}) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    // Three rows, so group g of the middle row is not at offset 8g.
+    EmbeddingStore store(3, dim);
+    std::vector<std::vector<double>> rows(3, std::vector<double>(dim));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      for (double& v : rows[i]) v = unit(rng);
+      store.SetRow(i, rows[i]);
+    }
+    std::vector<double> t(dim);
+    for (double& v : t) v = unit(rng);
+    const std::vector<double>& row = rows[1];
+
+    std::vector<double> copy(dim);
+    store.CopyRow(1, copy);
+    ASSERT_EQ(std::memcmp(copy.data(), row.data(), dim * sizeof(double)), 0);
+    SquaredDistanceAccumulator whole;
+    whole.Accumulate(row.data(), t.data(), 0, dim);
+    const double want = SquaredDistance(row.data(), t.data(), dim);
+    const double distance = std::sqrt(want);
+    const double got_distance = store.Distance(1, t);
+    ASSERT_EQ(std::memcmp(&got_distance, &distance, sizeof(double)), 0);
+    for (size_t a = 0; a <= dim; ++a) {
+      for (size_t b = a; b <= dim; ++b) {
+        SquaredDistanceAccumulator acc;
+        store.AccumulateRow(1, t.data(), 0, a, &acc);
+        store.AccumulateRow(1, t.data(), a, b, &acc);
+        store.AccumulateRow(1, t.data(), b, dim, &acc);
+        ASSERT_EQ(std::memcmp(acc.lanes, whole.lanes, sizeof(acc.lanes)), 0)
+            << "split [" << a << ", " << b << ")";
+        const double total = acc.Total();
+        ASSERT_EQ(std::memcmp(&total, &want, sizeof(double)), 0)
+            << "split [" << a << ", " << b << ")";
+      }
     }
   }
 }
@@ -348,16 +399,14 @@ TEST(CascadeDegenerateTest, ClusteredPaletteCollapsesDistancesButStaysExact) {
 // The cascade must visit exactly the (bound, index)-ascending sequence of a
 // full sort of every row's bound, whatever chunk of that sequence its
 // bounded selection holds: answers and every CascadeStats counter equal the
-// full-sort reference walk, on tie storms broken only by index.
+// full-sort reference walk, on tie storms broken only by index, at every
+// refinement geometry over the store's column groups.
 TEST(CascadeWalkOrderTest, MatchesTheFullSortWalkOnTieStorms) {
   using cascade_reference::GoldenCollection;
   const GoldenCollection golden = GoldenCollection::Make();
   const size_t n = golden.rows.size();
   EmbeddingStore store(n, GoldenCollection::kDim);
-  for (size_t i = 0; i < n; ++i) {
-    std::copy(golden.rows[i].begin(), golden.rows[i].end(),
-              store.MutableRow(i).begin());
-  }
+  for (size_t i = 0; i < n; ++i) store.SetRow(i, golden.rows[i]);
   store.BuildQuantized();
   const QuantizedStore& qs = store.quantized();
 
@@ -369,44 +418,56 @@ TEST(CascadeWalkOrderTest, MatchesTheFullSortWalkOnTieStorms) {
   size_t prefix_zero = 0;
   for (size_t i = 0; i < n; ++i) {
     if (qs.LowerBound2(enc, i) == 0.0) ++int8_zero;
-    if (SquaredDistance(store.Row(i).data(), centre.data(),
-                        GoldenCollection::kPrefixDim) == 0.0) {
-      ++prefix_zero;
-    }
+    SquaredDistanceAccumulator prefix;
+    store.AccumulateRow(i, centre.data(), 0, GoldenCollection::kPrefixDim,
+                        &prefix);
+    if (prefix.Total() == 0.0) ++prefix_zero;
   }
   EXPECT_GE(int8_zero, GoldenCollection::kCluster);
   EXPECT_GE(prefix_zero, GoldenCollection::kCluster);
 
-  struct StoreRows {
-    const EmbeddingStore* store;
-    const double* Acquire(size_t i) { return store->Row(i).data(); }
+  // The reference reads the collection's own contiguous rows, not the
+  // store's column groups, so it stays an independent oracle.
+  struct GoldenRows {
+    const GoldenCollection* golden;
+    const double* Acquire(size_t i) { return golden->rows[i].data(); }
   };
+  // Level-0 prefixes and steps that end inside, at and past a column-group
+  // line, including the paper's s = 3 and the defaults (8, 16).
+  constexpr size_t kDim = GoldenCollection::kDim;
   ThreadPool pool(3);
   for (size_t t = 0; t < golden.targets.size(); ++t) {
     const std::vector<double>& target = golden.targets[t];
-    for (size_t shards : {1u, 2u, 3u}) {
-      for (bool int8 : {true, false}) {
-        for (size_t k : {size_t{1}, size_t{10}, size_t{100}, n}) {
-          SCOPED_TRACE("target=" + std::to_string(t) +
-                       " shards=" + std::to_string(shards) +
-                       " int8=" + std::to_string(int8) +
-                       " k=" + std::to_string(k));
-          CascadeOptions options;
-          options.use_quantized = int8;
-          CascadeStats want_stats;
-          std::vector<std::pair<size_t, double>> want;
-          ASSERT_TRUE(cascade_reference::FullSortCascadeKnn(
-              [&] { return StoreRows{&store}; }, n, target, k, options,
-              int8 ? &qs : nullptr, shards, &want, &want_stats));
-          CascadeStats got_stats;
-          cascade_reference::ExpectSameAnswer(
-              store.CascadeKnn(target, k, options, &got_stats, &pool, shards),
-              want);
-          cascade_reference::ExpectSameStats(got_stats, want_stats);
-          if (t == 0 && k == 10 && shards == 1) {
-            // The walk used up the first chunk (256 pairs) and the second
-            // (512) before it could stop.
-            EXPECT_GT(got_stats.candidates_refined, 256u + 512u);
+    for (size_t prefix : {1u, 3u, 8u, 9u}) {
+      for (size_t step : {size_t{1}, size_t{3}, size_t{5}, size_t{16}, kDim}) {
+        for (size_t shards : {1u, 2u, 3u}) {
+          for (bool int8 : {true, false}) {
+            for (size_t k : {size_t{1}, size_t{10}, size_t{100}, n}) {
+              SCOPED_TRACE("target=" + std::to_string(t) +
+                           " prefix=" + std::to_string(prefix) +
+                           " step=" + std::to_string(step) +
+                           " shards=" + std::to_string(shards) +
+                           " int8=" + std::to_string(int8) +
+                           " k=" + std::to_string(k));
+              const CascadeOptions options{prefix, step, int8};
+              CascadeStats want_stats;
+              std::vector<std::pair<size_t, double>> want;
+              ASSERT_TRUE(cascade_reference::FullSortCascadeKnn(
+                  [&] { return GoldenRows{&golden}; }, n, target, k, options,
+                  int8 ? &qs : nullptr, shards, &want, &want_stats));
+              CascadeStats got_stats;
+              cascade_reference::ExpectSameAnswer(
+                  store.CascadeKnn(target, k, options, &got_stats, &pool,
+                                   shards),
+                  want);
+              cascade_reference::ExpectSameStats(got_stats, want_stats);
+              if (t == 0 && prefix == 8 && step == 16 && k == 10 &&
+                  shards == 1) {
+                // The walk used up the first chunk (256 pairs) and the
+                // second (512) before it could stop.
+                EXPECT_GT(got_stats.candidates_refined, 256u + 512u);
+              }
+            }
           }
         }
       }

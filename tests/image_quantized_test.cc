@@ -34,10 +34,16 @@ std::vector<Histogram> RandomDatabase(Rng* rng, size_t n, size_t bins) {
   return db;
 }
 
+std::vector<double> RowCopy(const EmbeddingStore& store, size_t i) {
+  std::vector<double> row(store.dim());
+  store.CopyRow(i, row);
+  return row;
+}
+
 double ExactSquared(const EmbeddingStore& store, size_t i,
                     std::span<const double> target) {
   SquaredDistanceAccumulator acc;
-  acc.Accumulate(store.Row(i).data(), target.data(), 0, store.dim());
+  acc.Accumulate(RowCopy(store, i).data(), target.data(), 0, store.dim());
   return acc.Total();
 }
 
@@ -72,8 +78,7 @@ TEST(QuantizedStoreTest, LowerBoundIsAdmissibleForEveryPairAcrossBinCounts) {
       if (q % 2 == 0) {
         target = qfd.Embed(RandomHistogram(&rng, bins));
       } else {
-        std::span<const double> row = store.Row(q % store.size());
-        target.assign(row.begin(), row.end());
+        target = RowCopy(store, q % store.size());
         for (double& v : target) v += 0.05 * (rng.NextDouble() - 0.5);
       }
       const QuantizedStore::EncodedQuery enc = qs.EncodeQuery(target);
@@ -97,11 +102,12 @@ TEST(QuantizedStoreTest, StoredCodesNeverClampAndResidualsAreExact) {
   const QuantizedStore& qs = store.quantized();
   for (size_t i = 0; i < qs.size(); ++i) {
     std::span<const int8_t> codes = qs.RowCodes(i);
+    const std::vector<double> row = RowCopy(store, i);
     double residual_sq = 0.0;
     for (size_t j = 0; j < qs.dim(); ++j) {
       ASSERT_GE(codes[j], -simd::kInt8CodeMax);
       ASSERT_LE(codes[j], simd::kInt8CodeMax);
-      const double err = store.Row(i)[j] -
+      const double err = row[j] -
                          static_cast<double>(codes[j]) *
                              qs.scale(j / QuantizedStore::kBlockDim);
       residual_sq += err * err;
@@ -144,10 +150,11 @@ TEST(QuantizedStoreTest, AdversarialScaleBlockStaysAdmissible) {
   EmbeddingStore store(6, dim);
   Rng rng(6037);
   for (size_t i = 0; i < store.size(); ++i) {
-    std::span<double> row = store.MutableRow(i);
+    std::vector<double> row(dim);
     for (size_t j = 0; j < dim; ++j) row[j] = rng.NextDouble() - 0.5;
+    if (i == 3) row[17] = 1e6;  // the outlier poisons block 1's scale
+    store.SetRow(i, row);
   }
-  store.MutableRow(3)[17] = 1e6;  // the outlier poisons block 1's scale
   store.BuildQuantized();
   const QuantizedStore& qs = store.quantized();
   Rng trng(6043);
@@ -230,8 +237,11 @@ TEST(QuantizedStoreTest, FusedBoundsEqualLowerBound2AtEveryLevel) {
                                 : (2.0 * rng.NextDouble() - 1.0) * spectrum[j];
       }
     }
-    const QuantizedStore qs =
-        QuantizedStore::Build(rows.data(), kRows, dim, dim);
+    const QuantizedStore qs = QuantizedStore::Build(
+        kRows, dim, [&](size_t i, std::span<double> out) {
+          std::copy_n(rows.begin() + static_cast<long>(i * dim), dim,
+                      out.begin());
+        });
     std::vector<double> scales_sq;
     for (double s : qs.scales()) scales_sq.push_back(s * s);
     std::vector<double> far(dim);
@@ -297,9 +307,10 @@ TEST(QuantizedStoreTest, AdmissionTiesAtTheHeapTopMatchTheFullSortWalk) {
   };
   const std::vector<double> twin = draw();
   EmbeddingStore store(n, dim);
+  std::vector<std::vector<double>> rows;
   for (size_t i = 0; i < n; ++i) {
-    const std::vector<double> x = i % 5 < 3 ? twin : draw();
-    std::copy(x.begin(), x.end(), store.MutableRow(i).begin());
+    rows.push_back(i % 5 < 3 ? twin : draw());
+    store.SetRow(i, rows.back());
   }
   store.BuildQuantized();
   const QuantizedStore& qs = store.quantized();
@@ -309,9 +320,11 @@ TEST(QuantizedStoreTest, AdmissionTiesAtTheHeapTopMatchTheFullSortWalk) {
     return x;
   }();
 
-  struct StoreRows {
-    const EmbeddingStore* store;
-    const double* Acquire(size_t i) { return store->Row(i).data(); }
+  // The reference reads its own contiguous rows, not the store's column
+  // groups, so it stays an independent oracle.
+  struct ContiguousRows {
+    const std::vector<std::vector<double>>* rows;
+    const double* Acquire(size_t i) { return (*rows)[i].data(); }
   };
   ThreadPool pool(3);
   for (const std::vector<double>* target : {&twin, &off_twin}) {
@@ -333,7 +346,7 @@ TEST(QuantizedStoreTest, AdmissionTiesAtTheHeapTopMatchTheFullSortWalk) {
         CascadeStats want_stats;
         std::vector<std::pair<size_t, double>> want;
         ASSERT_TRUE(cascade_reference::FullSortCascadeKnn(
-            [&] { return StoreRows{&store}; }, n, *target, k,
+            [&] { return ContiguousRows{&rows}; }, n, *target, k,
             CascadeOptions{}, &qs, shards, &want, &want_stats));
         CascadeStats got_stats;
         cascade_reference::ExpectSameAnswer(
@@ -442,7 +455,7 @@ TEST_F(QuantizedCascadeTest, EmptyAndEdgeCasesStayExact) {
   ExpectIdentical(store_.CascadeKnn(targets_[0], db_.size() + 10),
                   store_.ExactKnn(targets_[0], db_.size()), "k > n");
   // Self-query through the quantized tier: distance exactly 0 at rank 0.
-  std::vector<double> self(store_.Row(7).begin(), store_.Row(7).end());
+  const std::vector<double> self = RowCopy(store_, 7);
   const auto got = store_.CascadeKnn(self, 1);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].first, 7u);

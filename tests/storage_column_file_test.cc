@@ -106,14 +106,10 @@ TEST(ColumnFileTest, PersistedQuantizedTierEqualsRebuilt) {
 
   // Rebuild from the same rows in RAM; the persisted parts must be
   // byte-identical (same scales arithmetic, same EncodeRowAgainst).
-  const size_t stride = EmbeddingStore::RowStride(dim);
-  std::vector<double> matrix(rows.size() * stride, 0.0);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::memcpy(matrix.data() + i * stride, rows[i].data(),
-                dim * sizeof(double));
-  }
-  QuantizedStore rebuilt =
-      QuantizedStore::Build(matrix.data(), rows.size(), dim, stride);
+  EmbeddingStore ram(rows.size(), dim);
+  for (size_t i = 0; i < rows.size(); ++i) ram.SetRow(i, rows[i]);
+  ram.BuildQuantized();
+  const QuantizedStore& rebuilt = ram.quantized();
 
   ASSERT_EQ(loaded->size(), rebuilt.size());
   ASSERT_EQ(loaded->dim(), rebuilt.dim());

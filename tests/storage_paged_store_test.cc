@@ -13,9 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -163,6 +168,92 @@ TEST(PagedStoreTest, LoadToMemoryReconstitutesTheRamStore) {
       AuditPagingEquivalence(**paged, *loaded, AuditOptions(fx.ram));
   EXPECT_TRUE(report.ok()) << report.ToString();
   std::remove(fx.path.c_str());
+
+  // Dims that end inside a column-group line, at row counts that stop just
+  // short of a page, just past one, and a few rows into the third: the
+  // row-major page rows scatter into the groups value for value, padding
+  // lanes stay zero, the rebuilt int8 tier equals the file's persisted one,
+  // and the row-major paged store and the column-group RAM store agree on
+  // answers and counters at every shard count.
+  constexpr size_t kPageBytes = 4096;
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (size_t dim : {3u, 27u}) {
+    const size_t per_page =
+        kPageBytes / (EmbeddingStore::RowStride(dim) * sizeof(double));
+    for (size_t n : {per_page - 1, per_page + 1, 2 * per_page + 5}) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) + " rows=" + std::to_string(n));
+      std::vector<std::vector<double>> rows(n, std::vector<double>(dim));
+      for (std::vector<double>& row : rows) {
+        for (size_t j = 0; j < dim; ++j) {
+          row[j] = unit(rng) * std::exp(-0.15 * static_cast<double>(j));
+        }
+      }
+      const std::string path =
+          TestPath("load_" + std::to_string(dim) + "_" + std::to_string(n));
+      ColumnFileOptions file_options;
+      file_options.page_bytes = kPageBytes;
+      {
+        auto writer = ColumnFileWriter::Create(path, dim, file_options);
+        ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+        for (const std::vector<double>& row : rows) {
+          ASSERT_TRUE((*writer)->AppendRow(row).ok());
+        }
+        ASSERT_TRUE((*writer)->Finish().ok());
+      }
+      Result<std::unique_ptr<PagedEmbeddingStore>> disk =
+          PagedEmbeddingStore::Open(path);
+      ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+      ASSERT_TRUE((*disk)->has_quantized());
+      Result<EmbeddingStore> ram = (*disk)->LoadToMemory();
+      ASSERT_TRUE(ram.ok()) << ram.status().ToString();
+      ASSERT_EQ(ram->size(), n);
+      ASSERT_EQ(ram->dim(), dim);
+
+      std::vector<double> row(dim);
+      for (size_t i = 0; i < n; ++i) {
+        ram->CopyRow(i, row);
+        ASSERT_EQ(std::memcmp(row.data(), rows[i].data(), dim * sizeof(double)),
+                  0)
+            << "row " << i;
+        for (size_t j = dim; j < ram->stride(); ++j) {
+          const double pad = ram->Line(i, j / EmbeddingStore::kGroupDim)
+                                 [j % EmbeddingStore::kGroupDim];
+          ASSERT_EQ(std::bit_cast<uint64_t>(pad), 0u)
+              << "row " << i << " lane " << j;
+        }
+      }
+
+      const QuantizedStore& persisted = (*disk)->quantized();
+      const QuantizedStore& rebuilt = ram->quantized();
+      ASSERT_EQ(rebuilt.size(), persisted.size());
+      EXPECT_EQ(std::memcmp(rebuilt.scales().data(), persisted.scales().data(),
+                            persisted.scales().size() * sizeof(double)),
+                0);
+      EXPECT_EQ(std::memcmp(rebuilt.residuals().data(),
+                            persisted.residuals().data(),
+                            persisted.residuals().size() * sizeof(double)),
+                0);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::memcmp(rebuilt.RowCodes(i).data(),
+                              persisted.RowCodes(i).data(),
+                              persisted.RowCodes(i).size()),
+                  0)
+            << "codes of row " << i;
+      }
+
+      StorageAuditOptions options;
+      options.targets = {rows[0], rows[n / 2], rows[n - 1]};
+      for (double& v : options.targets[0]) v += 0.01;
+      options.k = 7;
+      options.shard_counts = {2, 3, 7};
+      options.cascade = {/*prefix_dim=*/3, /*step=*/5};
+      AuditReport audit = AuditPagingEquivalence(**disk, *ram, options);
+      EXPECT_TRUE(audit.ok()) << audit.ToString();
+      (*disk)->Close();
+      std::remove(path.c_str());
+    }
+  }
 }
 
 TEST(PagedStoreTest, WarmCascadeReadsZeroDiskBytesAtLevelMinusOne) {
