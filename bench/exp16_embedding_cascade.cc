@@ -1,8 +1,9 @@
 // E16 — the eigen-space embedding layer end to end: exact kNN through the
 // O(k)-per-pair batched kernel vs the seed O(k^2)-per-pair quadratic-form
-// scan, and the multi-level cascaded filter vs the two-level
-// distance-bounding filter of E5 (CascadeKnn with {.prefix_dim = 3,
-// .step = 64, .use_quantized = false}). Every strategy is exact (recall
+// scan, and the int8 cascade vs the two-level distance-bounding filter of
+// E5 (CascadeKnn with {.prefix_dim = 3, .use_quantized = false}). Both
+// refine every candidate they visit to full depth; they differ in the bound
+// that orders the walk. Every strategy is exact (recall
 // 1.0, no false dismissals); the contest is purely how much full-precision
 // work each avoids. Results also land in BENCH_embedding.json for the perf
 // trajectory.
@@ -110,8 +111,7 @@ void PrintTables() {
 
   // Two-level filter (E5's strategy: a 3-dim bound for every object, then
   // each candidate refined straight to full depth).
-  const CascadeOptions two_level{
-      .prefix_dim = 3, .step = kBins, .use_quantized = false};
+  const CascadeOptions two_level{.prefix_dim = 3, .use_quantized = false};
   size_t filtered_full = 0, filtered_mismatches = 0;
   t0 = now();
   for (int q = 0; q < kQueries; ++q) {
@@ -126,7 +126,7 @@ void PrintTables() {
   t1 = now();
   double us_filtered = MicrosPerQuery(t0, t1);
 
-  // Multi-level cascade over the embeddings.
+  // The int8 cascade over the embeddings.
   CascadeStats cascade_stats;
   size_t cascade_mismatches = 0;
   t0 = now();
@@ -158,7 +158,7 @@ void PrintTables() {
       exact_mismatches);
   add("two-level filter (dim 3)", us_filtered, per_query(filtered_full),
       filtered_mismatches);
-  add("cascade (int8 + prefix 8, step 16)", us_cascade,
+  add("cascade (int8 level -1)", us_cascade,
       per_query(cascade_stats.full_distance_computations),
       cascade_mismatches);
   table.Print();
@@ -168,11 +168,7 @@ void PrintTables() {
                "precision than the two-level filter refines.\n";
   std::cout << "cascade refinement detail: "
             << per_query(cascade_stats.candidates_refined)
-            << " candidates/query entered refinement, "
-            << per_query(cascade_stats.dims_accumulated)
-            << " dims/query accumulated past the prefix, "
-            << per_query(cascade_stats.full_distance_computations)
-            << " reached full depth (two-level filter: "
+            << " candidates/query refined to full depth (two-level filter: "
             << per_query(filtered_full) << " full evals/query).\n";
 
   // --- Batch-kernel detail: scalar seed loop vs the lane-blocked kernel,
@@ -349,8 +345,6 @@ void PrintTables() {
            per_query(cascade_stats.full_distance_computations));
   json.Set("cascade.candidates_refined_per_query",
            per_query(cascade_stats.candidates_refined));
-  json.Set("cascade.dims_accumulated_per_query",
-           per_query(cascade_stats.dims_accumulated));
   json.Set("cascade.mismatches", cascade_mismatches);
   json.SetHostParallelism(hw);
   json.Set("batch.scalar_us_per_pass", us_scalar);

@@ -3,7 +3,7 @@
 // quadratic-form evaluations with zero false dismissals. We sweep histogram
 // bins (the paper's typical 64/100/256) and filter dimension (the paper's
 // summary is dimension 3). The filter runs as EmbeddingStore::CascadeKnn
-// with {.prefix_dim = s, .step = bins, .use_quantized = false}: an s-dim
+// with {.prefix_dim = s, .use_quantized = false}: an s-dim
 // bound for every object, then full-distance refinement in ascending bound
 // order until the bound passes the k-th best.
 
@@ -46,10 +46,8 @@ Setup MakeSetup(size_t bins) {
 }
 
 // The paper's two-level filter over an s-dim summary.
-CascadeOptions TwoLevelFilter(const Setup& s, size_t summary_dim) {
-  return {.prefix_dim = summary_dim,
-          .step = s.embeddings.dim(),
-          .use_quantized = false};
+CascadeOptions TwoLevelFilter(size_t summary_dim) {
+  return {.prefix_dim = summary_dim, .use_quantized = false};
 }
 
 // Σ_{j<dim} λ_j / Σ_j λ_j: the share of the eigenmass the summary keeps.
@@ -76,7 +74,7 @@ void PrintTables() {
     Setup s = MakeSetup(bins);
     Rng qrng(kSeed * 7 + bins);
     for (size_t dim : {1u, 3u, 8u}) {
-      const CascadeOptions filter = TwoLevelFilter(s, dim);
+      const CascadeOptions filter = TwoLevelFilter(dim);
       const double energy = CapturedEnergy(s.qfd, dim);
       size_t total_full = 0;
       std::vector<Histogram> targets;
@@ -132,7 +130,7 @@ void PrintTables() {
   // short color vectors") — the GEMINI pipeline vs the flat filter.
   Banner("E5b: flat filter vs R-tree-indexed summaries (64 bins, dim 3)");
   Setup s = MakeSetup(64);
-  const CascadeOptions filter = TwoLevelFilter(s, 3);
+  const CascadeOptions filter = TwoLevelFilter(3);
   GeminiIndex gemini =
       CheckedValue(GeminiIndex::Build(&s.qfd, 3, &s.db), "gemini");
   Rng qrng(kSeed * 11);

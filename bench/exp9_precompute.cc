@@ -3,7 +3,7 @@
 // color distances removes quadratic-form evaluations from query time
 // entirely. We compare three ways to answer "10 images most similar to
 // image #i": full distance per candidate, the eigen-filter search (the
-// store's embeddings through CascadeKnn with {.prefix_dim = 3, .step = 64,
+// store's embeddings through CascadeKnn with {.prefix_dim = 3,
 // .use_quantized = false}, the paper's two-level filter), and the
 // precomputed cache.
 
@@ -28,18 +28,15 @@ struct Setup {
 
 // The paper's two-level filter: a 3-dim summary bound for every image, full
 // distances for the candidates in ascending bound order.
-CascadeOptions TwoLevelFilter(const Setup& s) {
-  return {.prefix_dim = 3,
-          .step = s.store.embeddings().dim(),
-          .use_quantized = false};
-}
+constexpr CascadeOptions kTwoLevelFilter{.prefix_dim = 3,
+                                         .use_quantized = false};
 
 std::vector<std::pair<size_t, double>> FilterSearch(const Setup& s,
                                                    size_t probe,
                                                    CascadeStats* stats) {
   const QuadraticFormDistance& qfd = s.store.color_distance();
   return s.store.embeddings().CascadeKnn(qfd.Embed(s.histograms[probe]), kK,
-                                         TwoLevelFilter(s), stats);
+                                         kTwoLevelFilter, stats);
 }
 
 Setup MakeSetup() {

@@ -32,8 +32,7 @@ int main() {
   // distances only for the candidates it cannot rule out. ---
   Histogram red = TargetHistogram(store.palette(), {1.0, 0.1, 0.1});
   const EmbeddingStore& embeddings = store.embeddings();
-  const CascadeOptions filter{
-      .prefix_dim = 3, .step = embeddings.dim(), .use_quantized = false};
+  const CascadeOptions filter{.prefix_dim = 3, .use_quantized = false};
   CascadeStats stats;
   auto top = embeddings.CascadeKnn(qfd.Embed(red), 5, filter, &stats);
   std::cout << "top-5 reddest covers (filtered search):\n";

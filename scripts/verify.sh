@@ -54,7 +54,8 @@
 #           and the perf-trajectory benches (exp16, exp21, exp22, exp23) so
 #           their BENCH_*.json land in the repo root. exp5, exp16, exp21 and
 #           exp23 abort, writing no report, on any false dismissal or
-#           mismatch. The timings are not a gate: on a 1-hardware-thread host
+#           mismatch, and the leg fails when a BENCH_filter_bound.json field
+#           other than a timing differs from the one committed at HEAD. The timings are not a gate: on a 1-hardware-thread host
 #           it warns loudly and the reports carry "contention_only": true —
 #           the guarded writer refuses to overwrite a multi-core report with
 #           one.
@@ -78,6 +79,26 @@ configure_and_test() {
   else
     ctest --test-dir "${build_dir}" --output-on-failure -j "${JOBS}"
   fi
+}
+
+# Fails when a field of the report other than a timing (*.us_per_query,
+# *.ops_per_sec) differs from the committed one at HEAD: the counts are
+# deterministic, so any change to them must be committed with the change
+# that caused it.
+same_counts_as_head() {
+  git show "HEAD:$1" | python3 -c '
+import json, sys
+want = json.load(sys.stdin)
+with open(sys.argv[1]) as f:
+    got = json.load(f)
+timing = (".us_per_query", ".ops_per_sec")
+moved = sorted(k for k in want.keys() | got.keys()
+               if not k.endswith(timing) and want.get(k) != got.get(k))
+for k in moved:
+    print("%s: %s differs from HEAD: %r != %r"
+          % (sys.argv[1], k, got.get(k), want.get(k)), file=sys.stderr)
+sys.exit(1 if moved else 0)
+' "$1"
 }
 
 case "${MODE}" in
@@ -156,6 +177,7 @@ case "${MODE}" in
       exp22_query_server exp23_out_of_core
     ./build-native/bench/exp5_filter_bound \
       --benchmark_min_time=0.01
+    same_counts_as_head BENCH_filter_bound.json
     ./build-native/bench/exp16_embedding_cascade \
       --benchmark_min_time=0.01
     ./build-native/bench/exp21_rtree_driver \

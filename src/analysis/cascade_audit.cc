@@ -114,8 +114,8 @@ AuditReport AuditCascadeEquivalence(const EmbeddingStore& store, size_t k,
   Rng rng(options.seed);
 
   std::vector<CascadeOptions> configs = {production_options,
-                                         {/*prefix_dim=*/1, /*step=*/1},
-                                         {store.dim(), /*step=*/4}};
+                                         {.prefix_dim = 1},
+                                         {.prefix_dim = store.dim()}};
   // Every config with the int8 level -1 flipped the other way: equivalence
   // must hold regardless of whether the quantized tier is engaged.
   const size_t base_configs = configs.size();
@@ -140,8 +140,8 @@ AuditReport AuditCascadeEquivalence(const EmbeddingStore& store, size_t k,
       const auto cascade = store.CascadeKnn(target, k, config);
       if (cascade.size() != exact.size()) {
         std::ostringstream out;
-        out << "query " << q << " (prefix " << config.prefix_dim << ", step "
-            << config.step << ", int8 " << (config.use_quantized ? "on" : "off")
+        out << "query " << q << " (prefix " << config.prefix_dim << ", int8 "
+            << (config.use_quantized ? "on" : "off")
             << "): cascade returned " << cascade.size()
             << " results, exact returned " << exact.size();
         report.Fail("equivalence", out.str());
@@ -152,12 +152,10 @@ AuditReport AuditCascadeEquivalence(const EmbeddingStore& store, size_t k,
             cascade[i].second != exact[i].second) {
           std::ostringstream out;
           out << "query " << q << " (prefix " << config.prefix_dim
-              << ", step " << config.step << ", int8 "
-              << (config.use_quantized ? "on" : "off") << "), rank " << i
-              << ": cascade ("
-              << cascade[i].first << ", " << cascade[i].second
-              << ") != exact (" << exact[i].first << ", " << exact[i].second
-              << ")";
+              << ", int8 " << (config.use_quantized ? "on" : "off")
+              << "), rank " << i << ": cascade (" << cascade[i].first << ", "
+              << cascade[i].second << ") != exact (" << exact[i].first << ", "
+              << exact[i].second << ")";
           report.Fail("equivalence", out.str());
           break;
         }

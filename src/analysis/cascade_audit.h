@@ -56,8 +56,8 @@ AuditReport AuditCascadeLevels(const QuadraticFormDistance& qfd,
 
 /// End-to-end equivalence audit: CascadeKnn must return exactly ExactKnn's
 /// answer (same indices, same order, bit-identical distances) for random
-/// query targets against `store`, across several (prefix, step)
-/// configurations including the given one. This is the Theorem-4.1-style
+/// query targets against `store`, across float prefixes {the given one's,
+/// 1, dim}, each with the int8 level −1 on and off. This is the Theorem-4.1-style
 /// "the filter changed costs, never answers" contract for the kernel layer.
 AuditReport AuditCascadeEquivalence(const EmbeddingStore& store, size_t k,
                                     const CascadeOptions& production_options,

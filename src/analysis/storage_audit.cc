@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 
 namespace fuzzydb {
 
@@ -50,6 +51,25 @@ void CompareKnn(AuditReport* report, const std::string& contract,
   }
 }
 
+// Byte equality of two int8 tiers: geometry, scales, residuals and codes.
+bool SameTier(const QuantizedStore& a, const QuantizedStore& b) {
+  if (a.size() != b.size() || a.dim() != b.dim() ||
+      a.scales().size() != b.scales().size() ||
+      std::memcmp(a.scales().data(), b.scales().data(),
+                  b.scales().size() * sizeof(double)) != 0 ||
+      std::memcmp(a.residuals().data(), b.residuals().data(),
+                  b.residuals().size() * sizeof(double)) != 0) {
+    return false;
+  }
+  for (size_t i = 0; i < b.size(); ++i) {
+    if (std::memcmp(a.RowCodes(i).data(), b.RowCodes(i).data(),
+                    b.RowCodes(i).size()) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void CompareCascadeWork(AuditReport* report, const std::string& context,
                         const CascadeStats& ram, const CascadeStats& paged) {
   report->CountCheck();
@@ -60,7 +80,6 @@ void CompareCascadeWork(AuditReport* report, const std::string& context,
       ram.bound_computations != paged.bound_computations ||
       ram.candidates_refined != paged.candidates_refined ||
       ram.full_distance_computations != paged.full_distance_computations ||
-      ram.dims_accumulated != paged.dims_accumulated ||
       ram.bytes_scanned_quantized != paged.bytes_scanned_quantized ||
       ram.bytes_scanned_prefix != paged.bytes_scanned_prefix ||
       ram.bytes_scanned_refine != paged.bytes_scanned_refine) {
@@ -155,24 +174,21 @@ AuditReport AuditPagingEquivalence(const storage::PagedEmbeddingStore& paged,
                                        " vs ram " +
                                        std::to_string(ram.has_quantized()));
   } else if (paged.has_quantized()) {
-    const QuantizedStore& qp = paged.quantized();
-    const QuantizedStore& qr = ram.quantized();
-    report.CountCheck();
-    bool parts_equal =
-        qp.size() == qr.size() && qp.dim() == qr.dim() &&
-        qp.scales().size() == qr.scales().size() &&
-        std::memcmp(qp.scales().data(), qr.scales().data(),
-                    qr.scales().size() * sizeof(double)) == 0 &&
-        std::memcmp(qp.residuals().data(), qr.residuals().data(),
-                    qr.residuals().size() * sizeof(double)) == 0;
-    for (size_t i = 0; parts_equal && i < qr.size(); ++i) {
-      parts_equal = std::memcmp(qp.RowCodes(i).data(), qr.RowCodes(i).data(),
-                                qr.RowCodes(i).size()) == 0;
-    }
-    if (!parts_equal) {
-      report.Fail("quantized-parts",
-                  "persisted int8 tier differs from the tier rebuilt from "
-                  "the same rows (scales, residuals, or codes)");
+    // Against a tier built afresh from the RAM rows, not against the RAM
+    // store's own tier, which LoadToMemory copies from the file.
+    const QuantizedStore rebuilt = QuantizedStore::Build(
+        ram.size(), ram.dim(),
+        [&ram](size_t i, std::span<double> out) { ram.CopyRow(i, out); });
+    for (const auto& [name, tier] :
+         {std::pair{"persisted", &paged.quantized()},
+          std::pair{"RAM", &ram.quantized()}}) {
+      report.CountCheck();
+      if (!SameTier(*tier, rebuilt)) {
+        report.Fail("quantized-parts",
+                    std::string(name) + " int8 tier differs from the tier " +
+                        "rebuilt from the RAM rows (scales, residuals, or " +
+                        "codes)");
+      }
     }
   }
 

@@ -41,7 +41,8 @@ struct StorageAuditOptions {
 ///   - geometry: size/dim/stride agreement, stride = RowStride(dim);
 ///   - rows: every padded on-disk row bit-equal to the RAM row's column-
 ///     group lines, whose padding lanes are +0.0;
-///   - quantized tier: persisted scales/residuals/codes equal rebuilt ones;
+///   - quantized tier: the persisted and RAM tiers' scales/residuals/codes
+///     equal those of a tier rebuilt from the RAM rows;
 ///   - BatchDistances / ExactKnn / CascadeKnn: bitwise-equal outputs
 ///     (indices, order, and double bits) for every target, serial and at
 ///     every shard count in `options`, cascade with quantized on and off;

@@ -30,16 +30,13 @@
 // Σ_{j<s} λ_j / Σ_j λ_j is the share of the quadratic form's eigenmass the
 // summary keeps; the filter prunes better as it approaches 1.
 //
-// CascadeKnn() exploits (2) end to end: a cheap s-dim prefix bound orders
-// the candidates, then each surviving candidate is refined
-// dimension-incrementally with early exit as soon as its partial sum
-// provably exceeds the current k-th best. The paper's two-level filter
-// (bound every object by d̂, refine candidates in ascending d̂ with the full
-// distance, stop once d̂ exceeds the k-th best) is the options
-// {.prefix_dim = s, .step = dim(), .use_quantized = false}: every object
-// gets one s-dim bound and every refined candidate goes straight to full
-// depth. Smaller steps make it a multi-level filter whose refinement work
-// per candidate is proportional to how close the candidate actually is.
+// CascadeKnn() exploits (2) end to end, and is the paper's two-level
+// filter: a cheap bound for every object orders the candidates, each
+// candidate is refined straight to its full distance, and the walk stops
+// once the next bound exceeds the current k-th best. The options
+// {.prefix_dim = s, .use_quantized = false} bound every object by d̂ over
+// an s-dim prefix; by default the int8 level −1 (image/quantized_store.h)
+// bounds them instead.
 
 #ifndef FUZZYDB_IMAGE_EMBEDDING_STORE_H_
 #define FUZZYDB_IMAGE_EMBEDDING_STORE_H_
@@ -132,6 +129,11 @@ class EmbeddingStore {
         size_, dim_, [this](size_t i, std::span<double> out) {
           CopyRow(i, out);
         });
+  }
+  /// Adopts `quantized` as the int8 companion; it must encode the current
+  /// rows, as a column file's persisted tier does.
+  void SetQuantized(QuantizedStore quantized) {
+    quantized_ = std::move(quantized);
   }
   bool has_quantized() const { return !quantized_.empty(); }
   /// The int8 tier (empty() when not built).

@@ -8,7 +8,7 @@
 // current k-th best full distance.
 // The lower-bounding property d >= d̂ guarantees no false dismissals, and
 // the R-tree replaces the flat filter's scan of every summary
-// (EmbeddingStore::CascadeKnn with step = dim) with sub-linear index
+// (EmbeddingStore::CascadeKnn with a float prefix bound) with sub-linear index
 // traversal.
 
 #ifndef FUZZYDB_IMAGE_INDEXED_SEARCH_H_

@@ -6,7 +6,7 @@
 // answers: the paged store is a memory-hierarchy change, never a semantic
 // one. The only robust way to guarantee that is for both stores to execute
 // literally the same code in literally the same order — so the exact top-k
-// selection, the multi-level cascade, and the driver that shards, merges
+// selection, the cascade, and the driver that shards, merges
 // and counts them live here as templates over a RowAccessor, and each store
 // supplies only how a row is fetched and how its dims are laid out:
 //
@@ -67,20 +67,17 @@ struct CascadeStats {
   /// Rows scanned by the int8 level −1 (0 when the tier is off or absent).
   size_t quantized_bound_computations = 0;
   /// Float prefix-bound evaluations: one per stored object when the
-  /// quantized tier is off, one per surviving candidate when it is on.
+  /// quantized tier is off, none when it orders the walk.
   size_t bound_computations = 0;
-  /// Candidates refined past the level-0 prefix bound.
+  /// Candidates the walk visited, each refined to its exact distance.
   size_t candidates_refined = 0;
-  /// Refinements carried to the full embedding dimension: the paper's full
-  /// distance evaluations (with step = dim, every refined candidate).
+  /// The paper's full distance evaluations: one per refined candidate.
   size_t full_distance_computations = 0;
-  /// Total embedding dimensions accumulated past level 0, across all
-  /// candidates (the cascade's actual refinement work).
-  size_t dims_accumulated = 0;
   /// Bytes actually read from the store's buffers, per level: the int8
   /// level −1 scan (codes + residuals), the float prefix bounds, and the
-  /// incremental refinements. The bandwidth story of the quantized tier is
-  /// measured here, not asserted.
+  /// refinements (the dims past the prefix in float mode, every dim after
+  /// the int8 level). The bandwidth story of the quantized tier is measured
+  /// here, not asserted.
   size_t bytes_scanned_quantized = 0;
   size_t bytes_scanned_prefix = 0;
   size_t bytes_scanned_refine = 0;
@@ -100,7 +97,6 @@ struct CascadeStats {
     bound_computations += other.bound_computations;
     candidates_refined += other.candidates_refined;
     full_distance_computations += other.full_distance_computations;
-    dims_accumulated += other.dims_accumulated;
     bytes_scanned_quantized += other.bytes_scanned_quantized;
     bytes_scanned_prefix += other.bytes_scanned_prefix;
     bytes_scanned_refine += other.bytes_scanned_refine;
@@ -113,19 +109,15 @@ struct CascadeStats {
 
 /// Tuning knobs for CascadeKnn().
 struct CascadeOptions {
-  /// Level-0 bound length s: the prefix scanned for every object (clamped
-  /// to the embedding dimension). Deeper prefixes cost more per object but
-  /// admit fewer candidates into refinement.
+  /// Float bound length s: the prefix scanned for every object when the
+  /// int8 level −1 does not run (clamped to the embedding dimension).
+  /// Deeper prefixes cost more per object but admit fewer candidates into
+  /// refinement. Ignored when the int8 level runs.
   size_t prefix_dim = 8;
-  /// Dimensions added per refinement level before re-checking the current
-  /// k-th best (the cascade's level granularity).
-  size_t step = 16;
   /// Run the int8 level −1 when the store has its quantized companion
   /// (DESIGN §3g): the full-object scan reads 1-byte codes instead of the
-  /// 8-byte float prefix, and the float prefix bound is computed only for
-  /// candidates the quantized bound cannot dismiss. Never changes answers
-  /// (the bound is admissible by construction), only costs; ignored when
-  /// the companion was not built.
+  /// 8-byte float prefix. Never changes answers (the bound is admissible by
+  /// construction), only costs; ignored when the companion was not built.
   bool use_quantized = true;
 };
 
@@ -246,7 +238,6 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
   if (n == 0) return true;
   k = std::min(k, n);
   const size_t s0 = std::clamp<size_t>(options.prefix_dim, 1, dim);
-  const size_t step = std::max<size_t>(options.step, 1);
 
   // The cheap full-collection bound that orders the candidate walk: either
   // the int8 level −1 (quantized codes, ~1 byte/dim) or the float s0-dim
@@ -308,66 +299,31 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
     }
   };
 
-  // Refines one visited candidate (global row idx, ordering bound b) into
-  // `best`; false iff the accessor failed.
+  // Refines one visited candidate (global row idx, ordering bound b) to its
+  // exact d^2 in one pass over the whole row, and offers it to `best`;
+  // false iff the accessor failed. In float mode the pass re-reads the
+  // bound pass's prefix rather than storing it per row: the accumulator is
+  // split-invariant, so the bits are the same, and the counters charge the
+  // prefix once, above.
+  const size_t refined_from = qquery != nullptr ? 0 : s0;
   auto refine = [&](double b, size_t idx) {
-    // Refine dimension-incrementally from the s0-dim prefix, early-exiting
-    // as soon as the partial sum (a valid lower bound at every length)
-    // provably exceeds the current k-th best.
     const double* row = rows.Acquire(idx);
     if (row == nullptr) return false;
-    // In float mode this recomputes the bound pass's prefix rather than
-    // storing it per row: the accumulator is split-invariant, so the state
-    // is bit-identical, and the counters charged the prefix once, above.
     SquaredDistanceAccumulator acc;
-    rows.Accumulate(acc, row, t, 0, s0);
-    bool pruned = false;
-    if (qquery != nullptr) {
-      // Level 0 runs lazily: the float prefix is read only for candidates
-      // the int8 bound could not dismiss. Its own bound can prune a
-      // candidate the walk ordering (keyed on the quantized bound) let
-      // through — a skip of this candidate, never a halt of the walk.
-      ++stats->bound_computations;
-      stats->bytes_scanned_prefix += s0 * sizeof(double);
-      pruned = s0 < dim && best->size() == k &&
-               acc.Total() > (*best)[worst_pos].first;
-    }
-    size_t j = s0;
-    while (j < dim && !pruned) {
-      const size_t stop = std::min(dim, j + step);
-      const double before = acc.Total();
-      rows.Accumulate(acc, row, t, j, stop);
-      j = stop;
-      // The cascade is dismissal-free only while every level lower-bounds
-      // the next ([HSE+95]): accumulating non-negative squared terms can
-      // never shrink the partial sum, exactly, in floating point.
-      FUZZYDB_INVARIANT(acc.Total() >= before,
-                        "cascade partial sum shrank from " +
-                            std::to_string(before) + " to " +
-                            std::to_string(acc.Total()) + " at dim " +
-                            std::to_string(j) + " for row " +
-                            std::to_string(idx));
-      if (j < dim && best->size() == k &&
-          acc.Total() > (*best)[worst_pos].first) {
-        pruned = true;
-      }
-    }
-    // A fully refined candidate's exact d^2 must dominate the bound that
-    // ordered it — the quantized level −1 bound or the float level-0 prefix
-    // — or that bound could have falsely dismissed it.
-    FUZZYDB_INVARIANT(pruned || acc.Total() >= b,
-                      std::string("cascade level ") +
-                          (qquery != nullptr ? "-1 (int8)" : "0 (prefix)") +
-                          " bound " + std::to_string(b) +
-                          " exceeds exact d^2 " + std::to_string(acc.Total()) +
-                          " for row " + std::to_string(idx));
-    ++stats->candidates_refined;
-    stats->dims_accumulated += j - s0;
-    stats->bytes_scanned_refine += (j - s0) * sizeof(double);
-    if (j == dim) ++stats->full_distance_computations;
-    if (pruned) return true;
-
+    rows.Accumulate(acc, row, t, 0, dim);
     const double d2 = acc.Total();
+    // The exact d^2 must dominate the bound that ordered the candidate —
+    // the quantized level −1 bound or the float prefix — or that bound
+    // could have falsely dismissed it ([HSE+95]).
+    FUZZYDB_INVARIANT(d2 >= b, std::string("cascade ") +
+                                   (qquery != nullptr ? "int8" : "prefix") +
+                                   " bound " + std::to_string(b) +
+                                   " exceeds exact d^2 " + std::to_string(d2) +
+                                   " for row " + std::to_string(idx));
+    ++stats->candidates_refined;
+    ++stats->full_distance_computations;
+    stats->bytes_scanned_refine += (dim - refined_from) * sizeof(double);
+
     if (best->size() < k) {
       best->emplace_back(d2, idx);
       if (best->size() == k) recompute_worst();

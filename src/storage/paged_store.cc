@@ -103,11 +103,9 @@ Result<std::unique_ptr<PagedEmbeddingStore>> PagedEmbeddingStore::Open(
   store->file_ = std::move(opened).value();
   store->options_ = options;
 
-  if (options.load_quantized) {
-    auto quantized = store->file_->LoadQuantized();
-    if (!quantized.ok()) return quantized.status();
-    store->quantized_ = std::move(quantized).value();
-  }
+  auto quantized = store->file_->LoadQuantized();
+  if (!quantized.ok()) return quantized.status();
+  store->quantized_ = std::move(quantized).value();
 
   BufferPoolOptions pool_options;
   pool_options.page_bytes = store->file_->page_bytes();
@@ -229,7 +227,11 @@ Result<EmbeddingStore> PagedEmbeddingStore::LoadToMemory() const {
       store.SetRow(begin + i, {page.data() + i * stride(), dim()});
     }
   }
-  store.BuildQuantized();
+  if (has_quantized()) {
+    store.SetQuantized(quantized_);
+  } else {
+    store.BuildQuantized();
+  }
   return store;
 }
 

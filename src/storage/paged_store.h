@@ -47,9 +47,6 @@ struct PagedStoreOptions {
   /// Pages of kernel readahead advice issued ahead of sequential scans
   /// (0 disables). Advice only — the pool's budget is never exceeded.
   size_t readahead_pages = 8;
-  /// Load the persisted int8 tier RAM-resident at Open (when the file has
-  /// one). Off only for experiments that want the pure paging path.
-  bool load_quantized = true;
 };
 
 /// Read-only view over one column file. Query methods are thread-safe and
@@ -109,9 +106,11 @@ class PagedEmbeddingStore {
 
   /// Materializes the whole column as a RAM-resident EmbeddingStore (each
   /// page row scattered straight into the store's column groups, no
-  /// row-major copy; its quantized companion rebuilt — bit-identical to the
-  /// persisted one, same arithmetic). For consumers that genuinely need residency, e.g.
-  /// the GEMINI R-tree build; everything else should query through paging.
+  /// row-major copy). Its quantized companion is a copy of the file's
+  /// persisted tier, which one encoding routine makes byte-identical to a
+  /// rebuilt one; it is built from the rows only when the file has none.
+  /// For consumers that genuinely need residency, e.g. the GEMINI R-tree
+  /// build; everything else should query through paging.
   Result<EmbeddingStore> LoadToMemory() const;
 
   /// Raw page read straight from the file, bypassing the pool (used by the

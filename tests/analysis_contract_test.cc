@@ -120,7 +120,7 @@ TEST_F(CascadeAuditTest, CascadeAnswersMatchExactKnnBitForBit) {
   CascadeAuditOptions options;
   options.pairs = 32;
   AuditReport report =
-      AuditCascadeEquivalence(store_, /*k=*/7, CascadeOptions{3, 4}, options);
+      AuditCascadeEquivalence(store_, /*k=*/7, CascadeOptions{.prefix_dim = 3}, options);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 

@@ -44,7 +44,6 @@ bool FullSortCascadeShard(RowAccessor& rows, const double* t, size_t dim,
   if (n == 0) return true;
   k = std::min(k, n);
   const size_t s0 = std::clamp<size_t>(options.prefix_dim, 1, dim);
-  const size_t step = std::max<size_t>(options.step, 1);
 
   std::vector<SquaredDistanceAccumulator> prefix;
   std::vector<double> bound(n);
@@ -89,32 +88,17 @@ bool FullSortCascadeShard(RowAccessor& rows, const double* t, size_t dim,
     const size_t idx = range.begin + local_idx;
     const double* row = rows.Acquire(idx);
     if (row == nullptr) return false;
+    // Float mode resumes the stored prefix; int8 mode starts from zero.
     SquaredDistanceAccumulator acc;
-    bool pruned = false;
-    if (qquery != nullptr) {
-      acc.Accumulate(row, t, 0, s0);
-      ++stats->bound_computations;
-      stats->bytes_scanned_prefix += s0 * sizeof(double);
-      pruned = s0 < dim && best->size() == k &&
-               acc.Total() > (*best)[worst_pos].first;
-    } else {
+    size_t j = 0;
+    if (qquery == nullptr) {
       acc = prefix[local_idx];
+      j = s0;
     }
-    size_t j = s0;
-    while (j < dim && !pruned) {
-      const size_t stop = std::min(dim, j + step);
-      acc.Accumulate(row, t, j, stop);
-      j = stop;
-      if (j < dim && best->size() == k &&
-          acc.Total() > (*best)[worst_pos].first) {
-        pruned = true;
-      }
-    }
+    acc.Accumulate(row, t, j, dim);
     ++stats->candidates_refined;
-    stats->dims_accumulated += j - s0;
-    stats->bytes_scanned_refine += (j - s0) * sizeof(double);
-    if (j == dim) ++stats->full_distance_computations;
-    if (pruned) continue;
+    ++stats->full_distance_computations;
+    stats->bytes_scanned_refine += (dim - j) * sizeof(double);
 
     const double d2 = acc.Total();
     if (best->size() < k) {
@@ -163,7 +147,6 @@ inline void ExpectSameStats(const CascadeStats& got, const CascadeStats& want) {
   EXPECT_EQ(got.bound_computations, want.bound_computations);
   EXPECT_EQ(got.candidates_refined, want.candidates_refined);
   EXPECT_EQ(got.full_distance_computations, want.full_distance_computations);
-  EXPECT_EQ(got.dims_accumulated, want.dims_accumulated);
   EXPECT_EQ(got.bytes_scanned_quantized, want.bytes_scanned_quantized);
   EXPECT_EQ(got.bytes_scanned_prefix, want.bytes_scanned_prefix);
   EXPECT_EQ(got.bytes_scanned_refine, want.bytes_scanned_refine);

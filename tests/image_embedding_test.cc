@@ -189,8 +189,8 @@ class CascadeTest : public ::testing::Test {
 
   // The paper's two-level filter (§2.1): a 3-dim summary bound for every
   // object, then each candidate refined straight to the full 64 dims.
-  static constexpr CascadeOptions kTwoLevel{
-      .prefix_dim = 3, .step = 64, .use_quantized = false};
+  static constexpr CascadeOptions kTwoLevel{.prefix_dim = 3,
+                                            .use_quantized = false};
 
   Palette palette_;
   QuadraticFormDistance qfd_;
@@ -204,16 +204,14 @@ TEST_F(CascadeTest, MatchesExactKnnAcrossOptionsAndQueries) {
     std::vector<double> target = qfd_.Embed(RandomHistogram(&rng, 64));
     std::vector<std::pair<size_t, double>> exact = store_.ExactKnn(target, 10);
     for (CascadeOptions options :
-         {CascadeOptions{1, 1}, CascadeOptions{3, 7}, CascadeOptions{8, 16},
-          CascadeOptions{64, 16}, kTwoLevel}) {
+         {CascadeOptions{.prefix_dim = 1}, CascadeOptions{.prefix_dim = 3},
+          CascadeOptions{.prefix_dim = 8}, CascadeOptions{.prefix_dim = 64}}) {
       CascadeStats stats;
       ExpectIdentical(store_.CascadeKnn(target, 10, options, &stats), exact);
-      // Level -1 scans every object; the float prefix bound then runs only
-      // for the survivors the int8 bound could not dismiss.
-      if (options.use_quantized) {
-        EXPECT_EQ(stats.quantized_bound_computations, db_.size());
-        EXPECT_LE(stats.bound_computations, db_.size());
-      }
+      // Level -1 scans every object and orders the walk; no float prefix
+      // bound runs.
+      EXPECT_EQ(stats.quantized_bound_computations, db_.size());
+      EXPECT_EQ(stats.bound_computations, 0u);
       options.use_quantized = false;
       CascadeStats fstats;
       ExpectIdentical(store_.CascadeKnn(target, 10, options, &fstats), exact);
@@ -255,8 +253,8 @@ TEST_F(CascadeTest, TwoLevelFilterBoundsEveryRowAndRefinesToFullDepth) {
     EXPECT_EQ(stats.quantized_bound_computations, 0u);
     EXPECT_EQ(stats.bound_computations, db_.size());
     EXPECT_EQ(stats.candidates_refined, stats.full_distance_computations);
-    EXPECT_EQ(stats.dims_accumulated,
-              stats.full_distance_computations * (64 - 3));
+    EXPECT_EQ(stats.bytes_scanned_refine,
+              stats.full_distance_computations * (64 - 3) * sizeof(double));
     EXPECT_LT(stats.full_distance_computations, db_.size());
   }
 }
@@ -318,8 +316,9 @@ TEST_F(CascadeTest, DuplicateDistancesBreakTiesByIndexDeterministically) {
     }
   }
   for (CascadeOptions options :
-       {CascadeOptions{1, 4}, CascadeOptions{8, 16}, CascadeOptions{64, 16},
-        kTwoLevel}) {
+       {CascadeOptions{},
+        CascadeOptions{.prefix_dim = 1, .use_quantized = false},
+        CascadeOptions{.prefix_dim = 64, .use_quantized = false}, kTwoLevel}) {
     ExpectIdentical(store.CascadeKnn(target, 23, options), exact);
   }
 }
@@ -348,7 +347,7 @@ TEST(CascadeDegenerateTest, FlatSpectrumPaletteStaysExact) {
     std::vector<std::pair<size_t, double>> exact =
         store.ExactKnn(target_embedding, 10);
     std::vector<std::pair<size_t, double>> cascade =
-        store.CascadeKnn(target_embedding, 10, {1, 1});
+        store.CascadeKnn(target_embedding, 10);
     ASSERT_EQ(cascade.size(), exact.size());
     for (size_t i = 0; i < exact.size(); ++i) {
       EXPECT_EQ(cascade[i].first, exact[i].first);
@@ -356,8 +355,7 @@ TEST(CascadeDegenerateTest, FlatSpectrumPaletteStaysExact) {
     }
     // The two-level filter over a 1-dim summary must also stay exact here.
     std::vector<std::pair<size_t, double>> filtered = store.CascadeKnn(
-        target_embedding, 10,
-        {.prefix_dim = 1, .step = 4, .use_quantized = false});
+        target_embedding, 10, {.prefix_dim = 1, .use_quantized = false});
     ASSERT_EQ(filtered.size(), exact.size());
     for (size_t i = 0; i < exact.size(); ++i) {
       EXPECT_EQ(filtered[i].first, exact[i].first);
@@ -387,7 +385,7 @@ TEST(CascadeDegenerateTest, ClusteredPaletteCollapsesDistancesButStaysExact) {
     std::vector<double> target = qfd.Embed(RandomHistogram(&rng, 8));
     std::vector<std::pair<size_t, double>> exact = store.ExactKnn(target, 15);
     std::vector<std::pair<size_t, double>> cascade =
-        store.CascadeKnn(target, 15, {2, 2});
+        store.CascadeKnn(target, 15, {.prefix_dim = 2});
     ASSERT_EQ(cascade.size(), exact.size());
     for (size_t i = 0; i < exact.size(); ++i) {
       EXPECT_EQ(cascade[i].first, exact[i].first) << "rank " << i;
@@ -432,41 +430,45 @@ TEST(CascadeWalkOrderTest, MatchesTheFullSortWalkOnTieStorms) {
     const GoldenCollection* golden;
     const double* Acquire(size_t i) { return golden->rows[i].data(); }
   };
-  // Level-0 prefixes and steps that end inside, at and past a column-group
-  // line, including the paper's s = 3 and the defaults (8, 16).
+  // Float prefixes that end inside, at and past a column-group line, the
+  // paper's s = 3, the default 8, and the whole row. Every visited
+  // candidate is refined to full depth, reading the dims past the prefix in
+  // float mode and the whole row after the int8 level.
   constexpr size_t kDim = GoldenCollection::kDim;
   ThreadPool pool(3);
   for (size_t t = 0; t < golden.targets.size(); ++t) {
     const std::vector<double>& target = golden.targets[t];
-    for (size_t prefix : {1u, 3u, 8u, 9u}) {
-      for (size_t step : {size_t{1}, size_t{3}, size_t{5}, size_t{16}, kDim}) {
-        for (size_t shards : {1u, 2u, 3u}) {
-          for (bool int8 : {true, false}) {
-            for (size_t k : {size_t{1}, size_t{10}, size_t{100}, n}) {
-              SCOPED_TRACE("target=" + std::to_string(t) +
-                           " prefix=" + std::to_string(prefix) +
-                           " step=" + std::to_string(step) +
-                           " shards=" + std::to_string(shards) +
-                           " int8=" + std::to_string(int8) +
-                           " k=" + std::to_string(k));
-              const CascadeOptions options{prefix, step, int8};
-              CascadeStats want_stats;
-              std::vector<std::pair<size_t, double>> want;
-              ASSERT_TRUE(cascade_reference::FullSortCascadeKnn(
-                  [&] { return GoldenRows{&golden}; }, n, target, k, options,
-                  int8 ? &qs : nullptr, shards, &want, &want_stats));
-              CascadeStats got_stats;
-              cascade_reference::ExpectSameAnswer(
-                  store.CascadeKnn(target, k, options, &got_stats, &pool,
-                                   shards),
-                  want);
-              cascade_reference::ExpectSameStats(got_stats, want_stats);
-              if (t == 0 && prefix == 8 && step == 16 && k == 10 &&
-                  shards == 1) {
-                // The walk used up the first chunk (256 pairs) and the
-                // second (512) before it could stop.
-                EXPECT_GT(got_stats.candidates_refined, 256u + 512u);
-              }
+    for (size_t prefix : {size_t{1}, size_t{3}, size_t{8}, size_t{9}, kDim}) {
+      for (size_t shards : {1u, 2u, 3u}) {
+        for (bool int8 : {true, false}) {
+          for (size_t k : {size_t{1}, size_t{10}, size_t{100}, n}) {
+            SCOPED_TRACE("target=" + std::to_string(t) +
+                         " prefix=" + std::to_string(prefix) +
+                         " shards=" + std::to_string(shards) +
+                         " int8=" + std::to_string(int8) +
+                         " k=" + std::to_string(k));
+            const CascadeOptions options{.prefix_dim = prefix,
+                                         .use_quantized = int8};
+            CascadeStats want_stats;
+            std::vector<std::pair<size_t, double>> want;
+            ASSERT_TRUE(cascade_reference::FullSortCascadeKnn(
+                [&] { return GoldenRows{&golden}; }, n, target, k, options,
+                int8 ? &qs : nullptr, shards, &want, &want_stats));
+            CascadeStats got_stats;
+            cascade_reference::ExpectSameAnswer(
+                store.CascadeKnn(target, k, options, &got_stats, &pool,
+                                 shards),
+                want);
+            cascade_reference::ExpectSameStats(got_stats, want_stats);
+            EXPECT_EQ(got_stats.full_distance_computations,
+                      got_stats.candidates_refined);
+            EXPECT_EQ(got_stats.bytes_scanned_refine,
+                      got_stats.candidates_refined *
+                          (int8 ? kDim : kDim - prefix) * sizeof(double));
+            if (t == 0 && prefix == 8 && k == 10 && shards == 1) {
+              // The walk used up the first chunk (256 pairs) and the
+              // second (512) before it could stop.
+              EXPECT_GT(got_stats.candidates_refined, 256u + 512u);
             }
           }
         }

@@ -142,7 +142,7 @@ TEST_F(GeminiTest, AgreesWithTheFlatFilterAndDoesLessSummaryWork) {
   CascadeStats flat_stats, gemini_stats;
   auto flat = index->embeddings().CascadeKnn(
       qfd_.Embed(target), 10,
-      {.prefix_dim = 3, .step = 64, .use_quantized = false}, &flat_stats);
+      {.prefix_dim = 3, .use_quantized = false}, &flat_stats);
   auto via_index = index->Knn(target, 10, &gemini_stats);
   ASSERT_TRUE(via_index.ok());
   ASSERT_EQ(flat.size(), via_index->size());

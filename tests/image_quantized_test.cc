@@ -383,7 +383,8 @@ TEST_F(QuantizedCascadeTest, GoldenBitIdenticalAcrossShardCountsAndOptions) {
     const std::vector<std::pair<size_t, double>> exact =
         store_.ExactKnn(target, 10);
     for (CascadeOptions options :
-         {CascadeOptions{1, 1}, CascadeOptions{8, 16}, CascadeOptions{64, 16}}) {
+         {CascadeOptions{.prefix_dim = 1}, CascadeOptions{.prefix_dim = 8},
+          CascadeOptions{.prefix_dim = 64}}) {
       ASSERT_TRUE(options.use_quantized);  // the tier defaults on
       for (size_t shards : ShardCounts()) {
         for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
@@ -439,15 +440,15 @@ TEST_F(QuantizedCascadeTest, QuantizedOnAndOffReturnTheSameBits) {
 TEST_F(QuantizedCascadeTest, TierSkipsFarMoreRowsThanTheFloatPrefixAdmits) {
   // The tier's reason to exist: on a 500-row store the int8 full-dimension
   // bound should dismiss the overwhelming majority of rows before any
-  // float work happens.
+  // float work happens, and no float prefix bound runs at all.
   CascadeStats stats;
   for (const std::vector<double>& target : targets_) {
     store_.CascadeKnn(target, 10, {}, &stats);
   }
   EXPECT_EQ(stats.quantized_bound_computations,
             targets_.size() * store_.size());
-  EXPECT_LT(stats.bound_computations,
-            targets_.size() * store_.size() / 4);
+  EXPECT_EQ(stats.bound_computations, 0u);
+  EXPECT_LT(stats.candidates_refined, targets_.size() * store_.size() / 4);
 }
 
 TEST_F(QuantizedCascadeTest, EmptyAndEdgeCasesStayExact) {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,13 +62,15 @@ struct Fixture {
   std::string path;
 };
 
-Fixture MakeFixture(const std::string& name, size_t page_bytes) {
+Fixture MakeFixture(const std::string& name, size_t page_bytes,
+                    bool build_quantized = true) {
   const ImageStoreOptions options = SmallCollection();
   Result<ImageStore> ram = ImageStore::Generate(options);
   EXPECT_TRUE(ram.ok()) << ram.status().ToString();
   ColumnFileOptions file_options;
   file_options.page_bytes = page_bytes;
   file_options.store_version = 42;
+  file_options.build_quantized = build_quantized;
   const std::string path = TestPath(name);
   Result<IngestedCollection> ingested =
       IngestGeneratedCollection(options, path, file_options);
@@ -172,7 +176,7 @@ TEST(PagedStoreTest, LoadToMemoryReconstitutesTheRamStore) {
   // Dims that end inside a column-group line, at row counts that stop just
   // short of a page, just past one, and a few rows into the third: the
   // row-major page rows scatter into the groups value for value, padding
-  // lanes stay zero, the rebuilt int8 tier equals the file's persisted one,
+  // lanes stay zero, the file's int8 tier equals one rebuilt from the rows,
   // and the row-major paged store and the column-group RAM store agree on
   // answers and counters at every shard count.
   constexpr size_t kPageBytes = 4096;
@@ -224,22 +228,29 @@ TEST(PagedStoreTest, LoadToMemoryReconstitutesTheRamStore) {
         }
       }
 
-      const QuantizedStore& persisted = (*disk)->quantized();
-      const QuantizedStore& rebuilt = ram->quantized();
-      ASSERT_EQ(rebuilt.size(), persisted.size());
-      EXPECT_EQ(std::memcmp(rebuilt.scales().data(), persisted.scales().data(),
-                            persisted.scales().size() * sizeof(double)),
-                0);
-      EXPECT_EQ(std::memcmp(rebuilt.residuals().data(),
-                            persisted.residuals().data(),
-                            persisted.residuals().size() * sizeof(double)),
-                0);
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(std::memcmp(rebuilt.RowCodes(i).data(),
-                              persisted.RowCodes(i).data(),
-                              persisted.RowCodes(i).size()),
-                  0)
-            << "codes of row " << i;
+      // The RAM store adopts the file's tier: both must equal a tier built
+      // afresh from the rows, so a wrong persisted tier still fails.
+      const QuantizedStore rebuilt = QuantizedStore::Build(
+          n, dim, [&rows](size_t i, std::span<double> out) {
+            std::copy(rows[i].begin(), rows[i].end(), out.begin());
+          });
+      for (const QuantizedStore* tier :
+           {&(*disk)->quantized(), &ram->quantized()}) {
+        ASSERT_EQ(tier->size(), rebuilt.size());
+        EXPECT_EQ(std::memcmp(tier->scales().data(), rebuilt.scales().data(),
+                              rebuilt.scales().size() * sizeof(double)),
+                  0);
+        EXPECT_EQ(std::memcmp(tier->residuals().data(),
+                              rebuilt.residuals().data(),
+                              rebuilt.residuals().size() * sizeof(double)),
+                  0);
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::memcmp(tier->RowCodes(i).data(),
+                                rebuilt.RowCodes(i).data(),
+                                rebuilt.RowCodes(i).size()),
+                    0)
+              << "codes of row " << i;
+        }
       }
 
       StorageAuditOptions options;
@@ -247,7 +258,7 @@ TEST(PagedStoreTest, LoadToMemoryReconstitutesTheRamStore) {
       for (double& v : options.targets[0]) v += 0.01;
       options.k = 7;
       options.shard_counts = {2, 3, 7};
-      options.cascade = {/*prefix_dim=*/3, /*step=*/5};
+      options.cascade = {.prefix_dim = 3};
       AuditReport audit = AuditPagingEquivalence(**disk, *ram, options);
       EXPECT_TRUE(audit.ok()) << audit.ToString();
       (*disk)->Close();
@@ -296,12 +307,10 @@ TEST(PagedStoreTest, QueriesAfterCloseFailCleanly) {
   std::remove(fx.path.c_str());
 }
 
-TEST(PagedStoreTest, QuantizedTierCanBeDisabledAtOpen) {
-  Fixture fx = MakeFixture("noquant", 4096);
-  PagedStoreOptions options;
-  options.load_quantized = false;
+TEST(PagedStoreTest, FileWithoutQuantizedTierStillAnswersExactly) {
+  Fixture fx = MakeFixture("noquant", 4096, /*build_quantized=*/false);
   Result<std::unique_ptr<PagedEmbeddingStore>> paged =
-      PagedEmbeddingStore::Open(fx.path, options);
+      PagedEmbeddingStore::Open(fx.path);
   ASSERT_TRUE(paged.ok());
   EXPECT_FALSE((*paged)->has_quantized());
   // Cascade still answers (it degrades to the float levels) and still
@@ -313,6 +322,10 @@ TEST(PagedStoreTest, QuantizedTierCanBeDisabledAtOpen) {
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(cascade.ok());
   EXPECT_EQ(*exact, *cascade);
+  // With no tier in the file, LoadToMemory builds one from the rows.
+  Result<EmbeddingStore> loaded = (*paged)->LoadToMemory();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->has_quantized());
   std::remove(fx.path.c_str());
 }
 
