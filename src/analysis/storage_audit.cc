@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -168,19 +169,20 @@ AuditReport AuditPagingEquivalence(const storage::PagedEmbeddingStore& paged,
 
   // --- Quantized tier -----------------------------------------------------
   report.CountCheck();
-  if (paged.has_quantized() != ram.has_quantized()) {
+  const std::shared_ptr<const QuantizedStore> persisted = paged.quantized();
+  if ((persisted != nullptr) != ram.has_quantized()) {
     report.Fail("quantized-parts", "tier presence disagrees: paged " +
-                                       std::to_string(paged.has_quantized()) +
+                                       std::to_string(persisted != nullptr) +
                                        " vs ram " +
                                        std::to_string(ram.has_quantized()));
-  } else if (paged.has_quantized()) {
+  } else if (persisted != nullptr) {
     // Against a tier built afresh from the RAM rows, not against the RAM
-    // store's own tier, which LoadToMemory copies from the file.
+    // store's own tier, which LoadToMemory shares with the paged store.
     const QuantizedStore rebuilt = QuantizedStore::Build(
         ram.size(), ram.dim(),
         [&ram](size_t i, std::span<double> out) { ram.CopyRow(i, out); });
     for (const auto& [name, tier] :
-         {std::pair{"persisted", &paged.quantized()},
+         {std::pair{"persisted", persisted.get()},
           std::pair{"RAM", &ram.quantized()}}) {
       report.CountCheck();
       if (!SameTier(*tier, rebuilt)) {

@@ -4,6 +4,22 @@
 
 namespace fuzzydb {
 
+namespace {
+
+// True while this thread runs a ParallelFor body of any pool.
+thread_local bool t_in_parallel_for = false;
+
+// Runs fn(i) with t_in_parallel_for set, so a ParallelFor that fn calls runs
+// inline on this thread.
+void RunBody(const std::function<void(size_t)>& fn, size_t i) {
+  const bool outer = t_in_parallel_for;
+  t_in_parallel_for = true;
+  fn(i);
+  t_in_parallel_for = outer;
+}
+
+}  // namespace
+
 InlineExecutor* InlineExecutor::Get() {
   static InlineExecutor executor;
   return &executor;
@@ -63,13 +79,22 @@ size_t ThreadPool::queued_tasks() const {
 // -Wthread-safety (and rightly — nothing ties the lambda to the lock).
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  if (workers_.empty() || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
+  // A nested call runs inline: on the same pool it would wait forever for
+  // the job its caller belongs to, and on another pool it would only queue
+  // the outer loop's executors behind one another.
+  if (workers_.empty() || n == 1 || t_in_parallel_for) {
+    for (size_t i = 0; i < n; ++i) RunBody(fn, i);
     return;
   }
   MutexLock lock(mu_);
-  // One job at a time: queue behind any job another thread is running.
-  while (job_fn_ != nullptr) done_cv_.Wait(mu_, lock);
+  // One job at a time. A caller that finds another thread's job running
+  // runs its own loop inline rather than queue behind it: waiting would
+  // leave its own core idle while the pool's executors are already taken.
+  if (job_fn_ != nullptr) {
+    lock.Unlock();
+    for (size_t i = 0; i < n; ++i) RunBody(fn, i);
+    return;
+  }
   job_fn_ = &fn;
   job_n_ = n;
   job_next_ = 0;
@@ -80,13 +105,18 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   while (job_next_ < job_n_) {
     const size_t i = job_next_++;
     lock.Unlock();
-    fn(i);
+    RunBody(fn, i);
     lock.Lock();
     ++job_done_;
   }
   while (job_done_ != job_n_) done_cv_.Wait(mu_, lock);
   job_fn_ = nullptr;
-  done_cv_.NotifyAll();  // wake both queued submitters and nobody else
+}
+
+bool ThreadPool::CanFanOut() const {
+  if (workers_.empty() || t_in_parallel_for) return false;
+  MutexLock lock(mu_);
+  return job_fn_ == nullptr;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -105,7 +135,7 @@ void ThreadPool::WorkerLoop() {
       while (job_fn_ == fn && job_next_ < job_n_) {
         const size_t i = job_next_++;
         lock.Unlock();
-        (*fn)(i);
+        RunBody(*fn, i);
         lock.Lock();
         if (++job_done_ == job_n_) done_cv_.NotifyAll();
       }

@@ -10,8 +10,9 @@
 //   - Work is claimed index-by-index under the pool mutex: shards are the
 //     unit of scheduling, so callers should pass a handful of coarse shards
 //     per executor, not one index per element.
-//   - Concurrent ParallelFor calls from different threads serialize (one job
-//     at a time); nested calls from inside fn are not allowed.
+//   - One job at a time: a ParallelFor that finds another thread's job
+//     running, or that is called from inside any pool's fn, runs inline,
+//     serially on the calling thread, rather than wait.
 //   - TryPost enqueues a fire-and-forget task onto a *bounded* queue; when
 //     the queue is full (or the pool has no workers) it refuses, which is
 //     the backpressure signal: the caller runs the work itself instead of
@@ -74,10 +75,18 @@ class ThreadPool : public TaskExecutor {
   size_t executors() const { return workers_.size() + 1; }
 
   /// Runs fn(i) for every i in [0, n), spread across the executors; returns
-  /// once all calls have completed. `fn` must not throw and must not call
-  /// ParallelFor on the same pool (jobs from *different* threads are safe
-  /// and simply serialize).
+  /// once all calls have completed. `fn` must not throw. The pool runs one
+  /// job at a time: a call made while another thread's job is running, or
+  /// from inside a ParallelFor body (of this pool or any other), runs
+  /// fn(0..n-1) serially on the calling thread instead of waiting.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
+
+  /// Whether a ParallelFor called now from this thread would spread across
+  /// the workers: the pool has workers, no other job is running, and the
+  /// thread is not inside a ParallelFor body. A hint only (another thread
+  /// may start a job right after), for callers that would rather plan one
+  /// serial pass than split work a busy pool then runs inline.
+  bool CanFanOut() const;
 
   /// Enqueues `task` to run on a worker thread. Returns false — without
   /// running or keeping the task — when the queue is at max_queued_tasks,
@@ -115,7 +124,7 @@ class ThreadPool : public TaskExecutor {
 
   mutable Mutex mu_;
   CondVar job_cv_;   // workers: a new job or task is ready
-  CondVar done_cv_;  // submitters: job finished / slot free
+  CondVar done_cv_;  // the submitter: its job finished
   // null = no job
   const std::function<void(size_t)>* job_fn_ GUARDED_BY(mu_) = nullptr;
   size_t job_n_ GUARDED_BY(mu_) = 0;     // total indices in the current job

@@ -125,14 +125,14 @@ void EmbeddingStore::BatchDistances(std::span<const double> target,
                                     size_t shards) const {
   assert(target.size() == dim_ && out.size() == size_);
   const double* FUZZYDB_RESTRICT t = target.data();
-  const std::vector<ShardRange> ranges =
+  const knn_internal::ShardPlan plan =
       knn_internal::ResolveShards(size_, pool, shards);
   knn_internal::ForEachShard(
-      pool, ranges.size(), [this] { return RowsOf(*this); },
+      plan, [this] { return RowsOf(*this); },
       [&](auto& rows, size_t s) {
-        const std::span<double> mine =
-            out.subspan(ranges[s].begin, ranges[s].size());
-        rows.PrefixDistances2(ranges[s].begin, t, dim_, mine);
+        const ShardRange range = plan.ranges[s];
+        const std::span<double> mine = out.subspan(range.begin, range.size());
+        rows.PrefixDistances2(range.begin, t, dim_, mine);
         for (double& d : mine) d = std::sqrt(d);
         return true;
       });
@@ -160,7 +160,7 @@ std::vector<std::pair<size_t, double>> EmbeddingStore::CascadeKnn(
   // Encode the target against the int8 tier once per query; the encoding is
   // read-only afterwards, so every shard safely shares it.
   const QuantizedStore* qs =
-      options.use_quantized && has_quantized() ? &quantized_ : nullptr;
+      options.use_quantized && has_quantized() ? quantized_.get() : nullptr;
   QuantizedStore::EncodedQuery qquery;
   if (qs != nullptr) qquery = qs->EncodeQuery(target);
   return knn_internal::ShardedKnn(

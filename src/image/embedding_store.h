@@ -41,6 +41,7 @@
 #ifndef FUZZYDB_IMAGE_EMBEDDING_STORE_H_
 #define FUZZYDB_IMAGE_EMBEDDING_STORE_H_
 
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -125,27 +126,35 @@ class EmbeddingStore {
   /// calls it once the rows are filled. O(size * dim); adds ~dim bytes per
   /// row of memory.
   void BuildQuantized() {
-    quantized_ = QuantizedStore::Build(
-        size_, dim_, [this](size_t i, std::span<double> out) {
-          CopyRow(i, out);
-        });
+    SetQuantized(std::make_shared<const QuantizedStore>(QuantizedStore::Build(
+        size_, dim_,
+        [this](size_t i, std::span<double> out) { CopyRow(i, out); })));
   }
-  /// Adopts `quantized` as the int8 companion; it must encode the current
-  /// rows, as a column file's persisted tier does.
-  void SetQuantized(QuantizedStore quantized) {
+  /// Adopts `quantized` as the int8 companion, sharing it with whoever else
+  /// holds it (a paged store's loaded tier, a copy of this store): the tier
+  /// is immutable, so nothing is copied. It must encode the current rows,
+  /// as a column file's persisted tier does.
+  void SetQuantized(std::shared_ptr<const QuantizedStore> quantized) {
     quantized_ = std::move(quantized);
   }
-  bool has_quantized() const { return !quantized_.empty(); }
+  bool has_quantized() const {
+    return quantized_ != nullptr && !quantized_->empty();
+  }
   /// The int8 tier (empty() when not built).
-  const QuantizedStore& quantized() const { return quantized_; }
+  const QuantizedStore& quantized() const {
+    static const QuantizedStore kNone;
+    return quantized_ != nullptr ? *quantized_ : kNone;
+  }
 
   /// The batched exact kernel: out[i] = |row_i - target|_2 for every
   /// stored object. `target` must be a full-dimension embedding (from
   /// QuadraticFormDistance::Embed) and `out` must have size() entries.
   /// Passes over the column groups, split into `shards` row ranges scanned
-  /// concurrently on `pool` (default: one per pool executor; one serial
-  /// pass without a pool). Bit-identical at every shard count — rows are
-  /// independent.
+  /// concurrently on `pool` (one per pool executor when 0; serial without
+  /// a pool). With neither, a store of at least 2 *
+  /// knn_internal::kMinShardRows rows shards across ThreadPool::Shared()
+  /// and a smaller one runs one serial pass (knn_internal::ResolveShards).
+  /// Bit-identical at every shard count — rows are independent.
   void BatchDistances(std::span<const double> target, std::span<double> out,
                       ThreadPool* pool = nullptr, size_t shards = 0) const;
 
@@ -196,7 +205,7 @@ class EmbeddingStore {
   size_t dim_ = 0;
   size_t stride_ = 0;
   AlignedBuffer data_;
-  QuantizedStore quantized_;
+  std::shared_ptr<const QuantizedStore> quantized_;  // null: not built
 };
 
 }  // namespace fuzzydb

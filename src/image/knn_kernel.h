@@ -48,6 +48,7 @@
 #define FUZZYDB_IMAGE_KNN_KERNEL_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <span>
 #include <string>
@@ -146,31 +147,96 @@ inline std::vector<std::pair<size_t, double>> ToOutput(
   return out;
 }
 
-// The contiguous row ranges a query over n rows runs on: `shards` of them,
-// or one per pool executor when 0, or one when 0 and there is no pool;
-// never more than n (and at least one, possibly empty).
-inline std::vector<ShardRange> ResolveShards(size_t n, ThreadPool* pool,
-                                             size_t shards) {
+// Rows each shard of a default-path query gets at least (DESIGN §3c).
+// Measured so that at every size that shards, the sharded query answers
+// faster than the serial one on both stores.
+constexpr size_t kMinShardRows = 16384;
+
+// Holds one count in a counter from construction until destroyed (or
+// moved from), and remembers the count it found.
+class CountedSlot {
+ public:
+  CountedSlot() = default;
+  explicit CountedSlot(std::atomic<size_t>* counter)
+      : counter_(counter), others_(counter->fetch_add(1)) {}
+  CountedSlot(CountedSlot&& other) noexcept
+      : counter_(std::exchange(other.counter_, nullptr)),
+        others_(other.others_) {}
+  CountedSlot& operator=(CountedSlot&&) = delete;
+  ~CountedSlot() {
+    if (counter_ != nullptr) counter_->fetch_sub(1);
+  }
+  // The counts other holders held when this one was taken.
+  size_t others() const { return others_; }
+
+ private:
+  std::atomic<size_t>* counter_ = nullptr;
+  size_t others_ = 0;
+};
+
+// Where a query over n rows runs: contiguous row ranges, and the pool that
+// runs them (null: serially in shard order). A default-path query over the
+// crossover counts itself in flight for as long as its plan lives.
+struct ShardPlan {
+  ThreadPool* pool = nullptr;
+  std::vector<ShardRange> ranges;
+  CountedSlot in_flight;
+};
+
+// Resolves a query's trailing (pool, shards) arguments.
+//
+// Neither given (the default path): a query over n >= 2 * kMinShardRows
+// rows runs on min(free, n / kMinShardRows) shards of ThreadPool::Shared(),
+// where free is the pool's executors less the other default-path queries
+// over the crossover now in flight; fewer than two shards, or a pool that
+// cannot fan out (running another job, or the caller is itself a
+// ParallelFor body), means one serial pass. Shards that a busy pool ran
+// inline would cost more than one pass, and concurrent callers already
+// keep the cores busy. A lone caller's shard count is therefore
+// deterministic in (n, executors); concurrent callers' counts depend on
+// timing, their answers never do.
+//
+// Otherwise: `shards` ranges, or one per pool executor when 0, on `pool`
+// (serial when null); never more ranges than n, and at least one,
+// possibly empty.
+inline ShardPlan ResolveShards(size_t n, ThreadPool* pool, size_t shards) {
+  if (pool == nullptr && shards == 0) {
+    if (n < 2 * kMinShardRows) return {nullptr, MakeShards(n, 1), {}};
+    static std::atomic<size_t> in_flight{0};
+    CountedSlot slot(&in_flight);
+    ThreadPool* shared = ThreadPool::Shared();
+    const size_t executors = shared->executors();
+    const size_t fit = std::min(executors - std::min(slot.others(), executors),
+                                n / kMinShardRows);
+    if (fit < 2 || !shared->CanFanOut()) {
+      return {nullptr, MakeShards(n, 1), std::move(slot)};
+    }
+    return {shared, MakeShards(n, fit), std::move(slot)};
+  }
   if (shards == 0) shards = pool != nullptr ? pool->executors() : 1;
-  return MakeShards(
-      n, std::max<size_t>(1, std::min(shards, std::max<size_t>(n, 1))));
+  return {pool,
+          MakeShards(n, std::max<size_t>(
+                            1, std::min(shards, std::max<size_t>(n, 1)))),
+          {}};
 }
 
 // The fan-out every sharded query shares: runs fn(rows, s) for every shard
-// s — on `pool` when given, else serially in shard order — each with its
-// own accessor from make_rows(), destroyed when its shard ends. fn returns
-// false iff the accessor failed; the result is then the status of the
-// first failing shard in shard order, deterministic unlike first-to-fail.
+// s of `plan` — on its pool when it has one, else serially in shard order —
+// each with its own accessor from make_rows(), destroyed when its shard
+// ends. fn returns false iff the accessor failed; the result is then the
+// status of the first failing shard in shard order, deterministic unlike
+// first-to-fail.
 template <typename MakeRows, typename ShardFn>
-Status ForEachShard(ThreadPool* pool, size_t shards, const MakeRows& make_rows,
+Status ForEachShard(const ShardPlan& plan, const MakeRows& make_rows,
                     const ShardFn& fn) {
+  const size_t shards = plan.ranges.size();
   std::vector<Status> errors(shards);
   auto run = [&](size_t s) {
     auto rows = make_rows();
     if (!fn(rows, s)) errors[s] = rows.status();
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(shards, run);
+  if (plan.pool != nullptr) {
+    plan.pool->ParallelFor(shards, run);
   } else {
     for (size_t s = 0; s < shards; ++s) run(s);
   }
@@ -374,15 +440,15 @@ Result<std::vector<std::pair<size_t, double>>> ShardedKnn(
     CascadeStats* stats) {
   if (k == 0 || n == 0) return std::vector<std::pair<size_t, double>>{};
   k = std::min(k, n);
-  const std::vector<ShardRange> ranges = ResolveShards(n, pool, shards);
+  const ShardPlan plan = ResolveShards(n, pool, shards);
   struct Local {
     std::vector<std::pair<double, size_t>> best;
     CascadeStats stats;
   };
-  std::vector<Local> local(ranges.size());
-  FUZZYDB_RETURN_NOT_OK(ForEachShard(
-      pool, ranges.size(), make_rows, [&](auto& rows, size_t s) {
-        return kernel(rows, ranges[s], &local[s].best, &local[s].stats);
+  std::vector<Local> local(plan.ranges.size());
+  FUZZYDB_RETURN_NOT_OK(
+      ForEachShard(plan, make_rows, [&](auto& rows, size_t s) {
+        return kernel(rows, plan.ranges[s], &local[s].best, &local[s].stats);
       }));
 
   // Shard 0's buffer becomes the merge buffer, so one shard copies nothing.

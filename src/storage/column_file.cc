@@ -370,17 +370,16 @@ Result<std::shared_ptr<ColumnFile>> ColumnFile::Open(const std::string& path) {
   return file;
 }
 
-ColumnFile::~ColumnFile() { Close(); }
-
-void ColumnFile::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+ColumnFile::~ColumnFile() {
+  if (fd_ >= 0) ::close(fd_);
 }
 
+void ColumnFile::Close() { closed_.store(true); }
+
 Status ColumnFile::ReadPage(uint64_t page, std::span<char> dest) const {
-  if (fd_ < 0) return Status::FailedPrecondition("column file is closed");
+  if (closed_.load()) {
+    return Status::FailedPrecondition("column file is closed");
+  }
   if (page >= num_pages_) {
     return Status::OutOfRange("page " + std::to_string(page) + " of " +
                               std::to_string(num_pages_));
@@ -394,7 +393,7 @@ Status ColumnFile::ReadPage(uint64_t page, std::span<char> dest) const {
 }
 
 void ColumnFile::Advise(uint64_t page, uint64_t pages) const {
-  if (fd_ < 0 || pages == 0 || page >= num_pages_) return;
+  if (closed_.load() || pages == 0 || page >= num_pages_) return;
   pages = std::min(pages, num_pages_ - page);
 #if defined(POSIX_FADV_WILLNEED)
   (void)::posix_fadvise(
@@ -408,7 +407,9 @@ void ColumnFile::Advise(uint64_t page, uint64_t pages) const {
 }
 
 Result<QuantizedStore> ColumnFile::LoadQuantized() const {
-  if (fd_ < 0) return Status::FailedPrecondition("column file is closed");
+  if (closed_.load()) {
+    return Status::FailedPrecondition("column file is closed");
+  }
   if (header_.quantized == 0) return QuantizedStore();
 
   const size_t blocks = QuantizedStore::NumBlocks(header_.dim);

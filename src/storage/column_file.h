@@ -30,6 +30,7 @@
 #ifndef FUZZYDB_STORAGE_COLUMN_FILE_H_
 #define FUZZYDB_STORAGE_COLUMN_FILE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -153,9 +154,11 @@ class ColumnFileWriter {
 };
 
 /// Read-only view of a finished column file: validated header + positioned
-/// page reads. Thread-safe after Open (pread only); Close() is not — call
-/// it only once no reads are in flight (the buffer pool above serializes
-/// this).
+/// page reads. Thread-safe after Open (pread only), Close() included: a
+/// read racing it either completes or fails FailedPrecondition, and the
+/// descriptor stays open until the last owner drops the file, so no read
+/// or readahead advice ever reaches a descriptor number the process has
+/// reused.
 class ColumnFile {
  public:
   static Result<std::shared_ptr<ColumnFile>> Open(const std::string& path);
@@ -188,14 +191,16 @@ class ColumnFile {
   /// was written without one). One sequential read, checksummed.
   Result<QuantizedStore> LoadQuantized() const;
 
-  /// Closes the descriptor; subsequent ReadPage calls return
-  /// FailedPrecondition. Idempotent.
+  /// Marks the file closed: subsequent ReadPage and LoadQuantized calls
+  /// return FailedPrecondition and Advise does nothing. The destructor
+  /// releases the descriptor. Idempotent.
   void Close();
 
  private:
   ColumnFile() = default;
 
-  int fd_ = -1;
+  int fd_ = -1;  // set by Open, closed by the destructor
+  std::atomic<bool> closed_{false};
   FileHeader header_{};
   std::vector<double> metadata_;
   uint64_t num_pages_ = 0;

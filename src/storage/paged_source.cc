@@ -20,10 +20,9 @@ Result<PagedColorSource> PagedColorSource::Create(
   }
 
   // One sequential paged pass over the rows (the only disk the source ever
-  // costs), sharded across the shared pool like QbicColorSource's pass.
+  // costs), on the store's default path.
   std::vector<double> grades(store->size());
-  FUZZYDB_RETURN_NOT_OK(store->BatchDistances(target_embedding, grades,
-                                              ThreadPool::Shared()));
+  FUZZYDB_RETURN_NOT_OK(store->BatchDistances(target_embedding, grades));
   for (double& g : grades) g = GradeFromDistance(g, max_distance);
   PagedColorSource src;
   if (ids.empty()) {

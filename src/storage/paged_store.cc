@@ -92,6 +92,15 @@ Status CheckTarget(std::span<const double> target, size_t dim) {
   return Status::OK();
 }
 
+// The paged store's default path: a query that names neither a pool nor a
+// shard count runs one serial pass at every size. Sharding it measured
+// faster too, but fuzzbench keeps a record per completed query, and at
+// knn_paged's doubled throughput those records raised its peak RSS by 10%
+// (DESIGN §3c).
+size_t DefaultSerial(ThreadPool* pool, size_t shards) {
+  return pool == nullptr && shards == 0 ? 1 : shards;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<PagedEmbeddingStore>> PagedEmbeddingStore::Open(
@@ -105,7 +114,11 @@ Result<std::unique_ptr<PagedEmbeddingStore>> PagedEmbeddingStore::Open(
 
   auto quantized = store->file_->LoadQuantized();
   if (!quantized.ok()) return quantized.status();
-  store->quantized_ = std::move(quantized).value();
+  if (!quantized->empty()) {
+    MutexLock lock(store->tier_mu_);
+    store->quantized_ =
+        std::make_shared<const QuantizedStore>(std::move(quantized).value());
+  }
 
   BufferPoolOptions pool_options;
   pool_options.page_bytes = store->file_->page_bytes();
@@ -124,6 +137,13 @@ Result<std::unique_ptr<PagedEmbeddingStore>> PagedEmbeddingStore::Open(
 void PagedEmbeddingStore::Close() {
   if (pool_ != nullptr) pool_->Close();
   if (file_ != nullptr) file_->Close();
+  MutexLock lock(tier_mu_);
+  quantized_.reset();
+}
+
+std::shared_ptr<const QuantizedStore> PagedEmbeddingStore::quantized() const {
+  MutexLock lock(tier_mu_);
+  return quantized_;
 }
 
 Result<double> PagedEmbeddingStore::Distance(std::span<const double> target,
@@ -148,15 +168,15 @@ Status PagedEmbeddingStore::BatchDistances(std::span<const double> target,
   }
   const double* FUZZYDB_RESTRICT t = target.data();
   const size_t d = dim();
-  const std::vector<ShardRange> ranges =
-      knn_internal::ResolveShards(size(), pool, shards);
+  const knn_internal::ShardPlan plan =
+      knn_internal::ResolveShards(size(), pool, DefaultSerial(pool, shards));
   return knn_internal::ForEachShard(
-      pool, ranges.size(),
+      plan,
       [this] { return PagedRows(*file_, *pool_, options_.readahead_pages); },
       [&](PagedRows& rows, size_t s) {
-        const std::span<double> mine =
-            out.subspan(ranges[s].begin, ranges[s].size());
-        if (!rows.PrefixDistances2(ranges[s].begin, t, d, mine)) return false;
+        const ShardRange range = plan.ranges[s];
+        const std::span<double> mine = out.subspan(range.begin, range.size());
+        if (!rows.PrefixDistances2(range.begin, t, d, mine)) return false;
         for (double& dist : mine) dist = std::sqrt(dist);
         return true;
       });
@@ -167,7 +187,7 @@ Result<std::vector<std::pair<size_t, double>>> PagedEmbeddingStore::ExactKnn(
     size_t shards) const {
   FUZZYDB_RETURN_NOT_OK(CheckTarget(target, dim()));
   return knn_internal::ShardedKnn(
-      size(), k, pool, shards,
+      size(), k, pool, DefaultSerial(pool, shards),
       [this] { return PagedRows(*file_, *pool_, options_.readahead_pages); },
       [&](PagedRows& rows, ShardRange range, auto* best, CascadeStats*) {
         return knn_internal::ExactKnnShard(rows, target.data(), dim(), k,
@@ -180,15 +200,17 @@ Result<std::vector<std::pair<size_t, double>>> PagedEmbeddingStore::CascadeKnn(
     std::span<const double> target, size_t k, const CascadeOptions& options,
     CascadeStats* stats, ThreadPool* pool, size_t shards) const {
   FUZZYDB_RETURN_NOT_OK(CheckTarget(target, dim()));
-  const QuantizedStore* qs =
-      options.use_quantized && has_quantized() ? &quantized_ : nullptr;
+  // This query's reference keeps the tier alive through a racing Close().
+  const std::shared_ptr<const QuantizedStore> tier =
+      options.use_quantized ? quantized() : nullptr;
+  const QuantizedStore* qs = tier.get();
   QuantizedStore::EncodedQuery qquery;
   if (qs != nullptr) qquery = qs->EncodeQuery(target);
 
   const BufferPoolStats before = pool_->stats();
   Result<std::vector<std::pair<size_t, double>>> answer =
       knn_internal::ShardedKnn(
-          size(), k, pool, shards,
+          size(), k, pool, DefaultSerial(pool, shards),
           [this] {
             return PagedRows(*file_, *pool_, options_.readahead_pages);
           },
@@ -227,8 +249,8 @@ Result<EmbeddingStore> PagedEmbeddingStore::LoadToMemory() const {
       store.SetRow(begin + i, {page.data() + i * stride(), dim()});
     }
   }
-  if (has_quantized()) {
-    store.SetQuantized(quantized_);
+  if (std::shared_ptr<const QuantizedStore> tier = quantized()) {
+    store.SetQuantized(std::move(tier));
   } else {
     store.BuildQuantized();
   }

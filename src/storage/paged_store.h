@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/sync.h"
 #include "common/thread_pool.h"
 #include "image/embedding_store.h"
 #include "image/knn_kernel.h"
@@ -52,8 +53,9 @@ struct PagedStoreOptions {
 /// Read-only view over one column file. Query methods are thread-safe and
 /// may run concurrently (the pool synchronizes frame state; each shard
 /// pins at most one page at a time, so any pool of >= shard-count pages
-/// can make progress). Close() requires quiescence, like the RAM store's
-/// destructor.
+/// can make progress). A query racing Close() either answers or fails
+/// FailedPrecondition; destroying the store requires quiescence, like the
+/// RAM store's destructor.
 class PagedEmbeddingStore {
  public:
   static Result<std::unique_ptr<PagedEmbeddingStore>> Open(
@@ -67,16 +69,20 @@ class PagedEmbeddingStore {
   /// Eigenbasis metadata recorded at ingest.
   const std::vector<double>& metadata() const { return file_->metadata(); }
 
-  bool has_quantized() const { return !quantized_.empty(); }
-  const QuantizedStore& quantized() const { return quantized_; }
+  /// The RAM-resident int8 tier, shared immutable state: null when the file
+  /// has none or once Close() has run. A holder (a query in flight, the
+  /// RAM store LoadToMemory built) keeps it alive past Close().
+  std::shared_ptr<const QuantizedStore> quantized() const;
+  bool has_quantized() const { return quantized() != nullptr; }
 
   const BufferPool& pool() const { return *pool_; }
   BufferPoolStats pool_stats() const { return pool_->stats(); }
 
   // Every query takes a target of dim() finite doubles and returns
   // InvalidArgument otherwise. `pool` and `shards` split the rows as the
-  // RAM store's methods do (default: one per pool executor; one serial
-  // pass without a pool), with answers bit-identical at every shard count.
+  // RAM store's methods do, with answers bit-identical at every shard
+  // count; with neither, the query runs one serial pass at every size
+  // (unlike the RAM store's default, DESIGN §3c).
 
   /// d(Row(i), target) — a single-row probe pinning one page.
   Result<double> Distance(std::span<const double> target, size_t i) const;
@@ -106,9 +112,10 @@ class PagedEmbeddingStore {
 
   /// Materializes the whole column as a RAM-resident EmbeddingStore (each
   /// page row scattered straight into the store's column groups, no
-  /// row-major copy). Its quantized companion is a copy of the file's
-  /// persisted tier, which one encoding routine makes byte-identical to a
-  /// rebuilt one; it is built from the rows only when the file has none.
+  /// row-major copy). Its quantized companion is this store's loaded tier,
+  /// shared, not copied (one encoding routine makes the persisted tier
+  /// byte-identical to a rebuilt one); it is built from the rows only when
+  /// the file has none. After Close() the RAM store holds the only copy.
   /// For consumers that genuinely need residency, e.g. the GEMINI R-tree
   /// build; everything else should query through paging.
   Result<EmbeddingStore> LoadToMemory() const;
@@ -117,7 +124,8 @@ class PagedEmbeddingStore {
   /// full-scan copy and the paging-equivalence auditor).
   Status ReadPage(uint64_t page, std::span<char> dest) const;
 
-  /// Closes the pool and the file. Outstanding PageHandles stay valid;
+  /// Closes the pool and the file and drops this store's reference to the
+  /// int8 tier. Outstanding PageHandles and tier references stay valid;
   /// subsequent queries fail FailedPrecondition. Idempotent.
   void Close();
 
@@ -126,7 +134,8 @@ class PagedEmbeddingStore {
 
   std::shared_ptr<ColumnFile> file_;
   std::unique_ptr<BufferPool> pool_;
-  QuantizedStore quantized_;
+  mutable Mutex tier_mu_;
+  std::shared_ptr<const QuantizedStore> quantized_ GUARDED_BY(tier_mu_);
   PagedStoreOptions options_;
 };
 

@@ -1,8 +1,9 @@
 // ThreadPool / MakeShards unit tests. The pool is the substrate for the
 // sharded embedding kernels, so the properties pinned here — every index
-// runs exactly once, callers participate, concurrent jobs serialize, and
-// shard geometry depends only on (n, shards) — are what the bit-identical
-// guarantees in image/embedding_store.h stand on.
+// runs exactly once, callers participate, a job that finds the pool busy or
+// is nested in another runs inline, and shard geometry depends only on
+// (n, shards) — are what the bit-identical guarantees in
+// image/embedding_store.h stand on.
 
 #include <gtest/gtest.h>
 
@@ -118,7 +119,7 @@ TEST(ThreadPoolTest, ManySmallJobsBackToBack) {
   EXPECT_EQ(total.load(), 200u * 8u);
 }
 
-TEST(ThreadPoolTest, ConcurrentSubmittersSerializeAndAllComplete) {
+TEST(ThreadPoolTest, ConcurrentSubmittersAllComplete) {
   ThreadPool pool(3);
   constexpr size_t kSubmitters = 4;
   constexpr size_t kIndices = 64;
@@ -141,6 +142,87 @@ TEST(ThreadPoolTest, ConcurrentSubmittersSerializeAndAllComplete) {
       EXPECT_EQ(hits[s][i].load(), 20) << "submitter " << s << " i " << i;
     }
   }
+}
+
+// A ParallelFor called from inside another's body runs inline on the
+// calling thread: on the same pool it used to wait forever for the job it
+// was part of. Every (outer, inner) index pair must still run exactly once.
+void ExpectNestedRunsInline(ThreadPool& outer_pool, ThreadPool& inner_pool) {
+  constexpr size_t kOuter = 16;
+  constexpr size_t kInner = 32;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> off_thread{0};
+  outer_pool.ParallelFor(kOuter, [&](size_t o) {
+    const std::thread::id caller = std::this_thread::get_id();
+    inner_pool.ParallelFor(kInner, [&](size_t i) {
+      if (std::this_thread::get_id() != caller) off_thread.fetch_add(1);
+      hits[o * kInner + i].fetch_add(1);
+    });
+  });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
+TEST(ThreadPoolTest, NestedCallOnTheSamePoolRunsInline) {
+  ThreadPool pool(4);
+  ExpectNestedRunsInline(pool, pool);
+  // The pool is still usable, and runs jobs on its workers again.
+  std::atomic<size_t> count{0};
+  pool.ParallelFor(64, [&](size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 64u);
+}
+
+TEST(ThreadPoolTest, NestedCallOnAnotherPoolRunsInline) {
+  ThreadPool outer(4);
+  ThreadPool inner(3);
+  ExpectNestedRunsInline(outer, inner);
+  ExpectNestedRunsInline(outer, *ThreadPool::Shared());
+}
+
+// A caller that finds another thread's job running does not wait for it:
+// it runs its own loop on itself. Thread A's job holds the pool until B's
+// call has returned, so B can only finish by running inline.
+TEST(ThreadPoolTest, CallerFindingAnotherJobRunningRunsInline) {
+  ThreadPool pool(4);
+  Latch started(1);
+  Latch b_done(1);
+  std::atomic<int> off_thread{0};
+  std::atomic<int> b_hits{0};
+  std::thread a([&] {
+    pool.ParallelFor(2, [&](size_t i) {
+      if (i != 0) return;
+      started.CountDown();
+      b_done.Wait();
+    });
+  });
+  started.Wait();
+  EXPECT_FALSE(pool.CanFanOut());
+  const std::thread::id b = std::this_thread::get_id();
+  pool.ParallelFor(16, [&](size_t) {
+    if (std::this_thread::get_id() != b) off_thread.fetch_add(1);
+    b_hits.fetch_add(1);
+  });
+  b_done.CountDown();
+  a.join();
+  EXPECT_EQ(b_hits.load(), 16);
+  EXPECT_EQ(off_thread.load(), 0);
+  EXPECT_TRUE(pool.CanFanOut());
+}
+
+TEST(ThreadPoolTest, CanFanOutOnlyFromOutsideABodyOfAPoolWithWorkers) {
+  ThreadPool serial(1);
+  EXPECT_FALSE(serial.CanFanOut());
+  ThreadPool pool(3);
+  ThreadPool other(2);
+  EXPECT_TRUE(pool.CanFanOut());
+  std::atomic<int> could{0};
+  other.ParallelFor(4, [&](size_t) {
+    if (pool.CanFanOut()) could.fetch_add(1);
+  });
+  EXPECT_EQ(could.load(), 0);
+  EXPECT_TRUE(pool.CanFanOut());
 }
 
 TEST(ThreadPoolTaskTest, PostedTaskRunsExactlyOnce) {

@@ -24,6 +24,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/storage_audit.h"
@@ -235,7 +236,7 @@ TEST(PagedStoreTest, LoadToMemoryReconstitutesTheRamStore) {
             std::copy(rows[i].begin(), rows[i].end(), out.begin());
           });
       for (const QuantizedStore* tier :
-           {&(*disk)->quantized(), &ram->quantized()}) {
+           {(*disk)->quantized().get(), &ram->quantized()}) {
         ASSERT_EQ(tier->size(), rebuilt.size());
         EXPECT_EQ(std::memcmp(tier->scales().data(), rebuilt.scales().data(),
                               rebuilt.scales().size() * sizeof(double)),
@@ -509,7 +510,7 @@ TEST(PagedStoreTest, CascadeWalkMatchesTheFullSortWalkOnTieStorms) {
           std::vector<std::pair<size_t, double>> want;
           ASSERT_TRUE(cascade_reference::FullSortCascadeKnn(
               make_rows, n, target, k, options,
-              int8 ? &(*paged)->quantized() : nullptr, shards, &want,
+              int8 ? (*paged)->quantized().get() : nullptr, shards, &want,
               &want_stats));
           const BufferPoolStats after = ref_pool.stats();
           want_stats.bytes_read_disk =
@@ -532,6 +533,244 @@ TEST(PagedStoreTest, CascadeWalkMatchesTheFullSortWalkOnTieStorms) {
   }
   EXPECT_GT(ref_pool.stats().evictions, 0u);
   (*paged)->Close();
+  std::remove(path.c_str());
+}
+
+// A column file of n rows of dim 16 with a decaying spectrum, as E23's.
+std::string WriteSpectrumRows(const std::string& name, size_t n,
+                              uint64_t seed) {
+  constexpr size_t kDim = 16;
+  const std::string path = TestPath(name);
+  auto writer = ColumnFileWriter::Create(path, kDim, ColumnFileOptions{});
+  EXPECT_TRUE(writer.ok()) << writer.status().ToString();
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::vector<double> row(kDim);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < kDim; ++j) {
+      row[j] = unit(rng) * std::exp(-0.18 * static_cast<double>(j));
+    }
+    EXPECT_TRUE((*writer)->AppendRow(row).ok());
+  }
+  EXPECT_TRUE((*writer)->Finish().ok());
+  return path;
+}
+
+std::vector<double> SpectrumTarget(size_t dim, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::vector<double> t(dim);
+  for (size_t j = 0; j < dim; ++j) {
+    t[j] = unit(rng) * std::exp(-0.18 * static_cast<double>(j));
+  }
+  return t;
+}
+
+// The shard count a lone default-path query over n rows runs on.
+size_t DefaultShards(size_t n) {
+  constexpr size_t kRows = knn_internal::kMinShardRows;
+  if (n < 2 * kRows) return 1;
+  return std::max<size_t>(
+      1, std::min(ThreadPool::Shared()->executors(), n / kRows));
+}
+
+// Drops the buffer-pool counters, which only the paged store has and which
+// depend on what the pool held before the query.
+CascadeStats Arithmetic(CascadeStats stats) {
+  stats.bytes_read_disk = 0;
+  stats.buffer_pool_hits = 0;
+  stats.buffer_pool_misses = 0;
+  stats.buffer_pool_evictions = 0;
+  return stats;
+}
+
+// A query that names neither a pool nor a shard count: the RAM store
+// shards a store of at least twice knn_internal::kMinShardRows rows across
+// the shared pool and runs a smaller one serially; the paged store runs
+// one serial pass at every size. For every query kind, just below and
+// above the crossover: answers are bit-identical to one shard, and the
+// cascade's counters equal an explicit run at the resolved count (below
+// the crossover, and on the paged store, one shard's exactly).
+TEST(PagedStoreTest, DefaultPathShardsAboveTheCrossoverOnly) {
+  constexpr size_t kRows = knn_internal::kMinShardRows;
+  for (size_t n : {2 * kRows - 1, 2 * kRows, 4 * kRows + 3}) {
+    SCOPED_TRACE("rows=" + std::to_string(n));
+    const std::string path =
+        WriteSpectrumRows("default_" + std::to_string(n), n, 20261022 + n);
+    Result<std::unique_ptr<PagedEmbeddingStore>> paged =
+        PagedEmbeddingStore::Open(path);
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    Result<EmbeddingStore> ram = (*paged)->LoadToMemory();
+    ASSERT_TRUE(ram.ok()) << ram.status().ToString();
+    const size_t resolved = DefaultShards(n);
+    const std::vector<double> target = SpectrumTarget(ram->dim(), n);
+
+    std::vector<double> serial(n);
+    std::vector<double> got(n);
+    ram->BatchDistances(target, serial, nullptr, 1);
+    ram->BatchDistances(target, got);
+    EXPECT_EQ(got, serial);
+    std::fill(got.begin(), got.end(), 0.0);
+    ASSERT_TRUE((*paged)->BatchDistances(target, got).ok());
+    EXPECT_EQ(got, serial);
+
+    const std::vector<std::pair<size_t, double>> exact =
+        ram->ExactKnn(target, 10, nullptr, 1);
+    cascade_reference::ExpectSameAnswer(ram->ExactKnn(target, 10), exact);
+    Result<std::vector<std::pair<size_t, double>>> paged_exact =
+        (*paged)->ExactKnn(target, 10);
+    ASSERT_TRUE(paged_exact.ok()) << paged_exact.status().ToString();
+    cascade_reference::ExpectSameAnswer(*paged_exact, exact);
+
+    for (bool int8 : {true, false}) {
+      SCOPED_TRACE(int8 ? "int8" : "float");
+      CascadeOptions options;
+      options.use_quantized = int8;
+      CascadeStats one_stats;
+      cascade_reference::ExpectSameAnswer(
+          ram->CascadeKnn(target, 10, options, &one_stats, nullptr, 1), exact);
+      CascadeStats want_stats;
+      ram->CascadeKnn(target, 10, options, &want_stats, nullptr, resolved);
+      if (resolved == 1) cascade_reference::ExpectSameStats(want_stats, one_stats);
+
+      CascadeStats ram_stats;
+      cascade_reference::ExpectSameAnswer(
+          ram->CascadeKnn(target, 10, options, &ram_stats), exact);
+      cascade_reference::ExpectSameStats(ram_stats, want_stats);
+      CascadeStats paged_stats;
+      Result<std::vector<std::pair<size_t, double>>> paged_cascade =
+          (*paged)->CascadeKnn(target, 10, options, &paged_stats);
+      ASSERT_TRUE(paged_cascade.ok()) << paged_cascade.status().ToString();
+      cascade_reference::ExpectSameAnswer(*paged_cascade, exact);
+      cascade_reference::ExpectSameStats(Arithmetic(paged_stats), one_stats);
+    }
+    (*paged)->Close();
+    std::remove(path.c_str());
+  }
+}
+
+// Four threads query one store at once on the default path: whichever plan
+// each RAM query gets (the shared pool's shards, or one serial pass while
+// the pool is taken or the other callers hold the cores), and on the
+// paged store's serial default, every answer equals the serial one.
+TEST(PagedStoreTest, ConcurrentDefaultPathCallersGetTheSerialAnswers) {
+  constexpr size_t kThreads = 4;
+  constexpr size_t kQueries = 6;
+  const size_t n = 4 * knn_internal::kMinShardRows + 3;
+  const std::string path = WriteSpectrumRows("default_concurrent", n, 7);
+  Result<std::unique_ptr<PagedEmbeddingStore>> paged =
+      PagedEmbeddingStore::Open(path);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  Result<EmbeddingStore> ram = (*paged)->LoadToMemory();
+  ASSERT_TRUE(ram.ok()) << ram.status().ToString();
+
+  // Query q runs kind q % 3: int8 cascade, float cascade, exact.
+  auto run = [&](bool on_paged, size_t q, size_t shards) {
+    const std::vector<double> target = SpectrumTarget(ram->dim(), 100 + q);
+    CascadeOptions options;
+    options.use_quantized = q % 3 == 0;
+    if (on_paged) {
+      auto got = q % 3 == 2
+                     ? (*paged)->ExactKnn(target, 10, nullptr, shards)
+                     : (*paged)->CascadeKnn(target, 10, options, nullptr,
+                                            nullptr, shards);
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      return got.ok() ? *got : std::vector<std::pair<size_t, double>>{};
+    }
+    return q % 3 == 2 ? ram->ExactKnn(target, 10, nullptr, shards)
+                      : ram->CascadeKnn(target, 10, options, nullptr, nullptr,
+                                        shards);
+  };
+  std::vector<std::vector<std::pair<size_t, double>>> want(kThreads *
+                                                           kQueries);
+  for (size_t q = 0; q < want.size(); ++q) want[q] = run(false, q, 1);
+
+  for (bool on_paged : {false, true}) {
+    SCOPED_TRACE(on_paged ? "paged" : "ram");
+    std::vector<std::vector<std::pair<size_t, double>>> got(want.size());
+    std::vector<std::thread> threads;
+    for (size_t c = 0; c < kThreads; ++c) {
+      threads.emplace_back([&, c] {
+        for (size_t i = 0; i < kQueries; ++i) {
+          const size_t q = c * kQueries + i;
+          got[q] = run(on_paged, q, 0);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (size_t q = 0; q < want.size(); ++q) {
+      SCOPED_TRACE("query " + std::to_string(q));
+      cascade_reference::ExpectSameAnswer(got[q], want[q]);
+    }
+  }
+  (*paged)->Close();
+  std::remove(path.c_str());
+}
+
+// LoadToMemory shares the paged store's int8 tier instead of copying it,
+// and Close() drops the paged store's reference: the RAM store then holds
+// the only one, and answers with the same bits and counters after the
+// paged store is gone.
+TEST(PagedStoreTest, RamStoreKeepsTheSharedTierAfterThePagedStoreCloses) {
+  const size_t n = 3000;
+  const std::string path = WriteSpectrumRows("shared_tier", n, 11);
+  Result<std::unique_ptr<PagedEmbeddingStore>> paged =
+      PagedEmbeddingStore::Open(path);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  Result<EmbeddingStore> ram = (*paged)->LoadToMemory();
+  ASSERT_TRUE(ram.ok()) << ram.status().ToString();
+  ASSERT_TRUE(ram->has_quantized());
+  EXPECT_EQ(&ram->quantized(), (*paged)->quantized().get());
+
+  const std::vector<double> target = SpectrumTarget(ram->dim(), 5);
+  CascadeStats before_stats;
+  const std::vector<std::pair<size_t, double>> before =
+      ram->CascadeKnn(target, 10, {}, &before_stats);
+  EXPECT_EQ(before_stats.quantized_bound_computations, n);
+
+  (*paged)->Close();
+  EXPECT_EQ((*paged)->quantized(), nullptr);
+  EXPECT_FALSE((*paged)->has_quantized());
+  paged->reset();
+  std::remove(path.c_str());
+
+  CascadeStats after_stats;
+  cascade_reference::ExpectSameAnswer(
+      ram->CascadeKnn(target, 10, {}, &after_stats), before);
+  cascade_reference::ExpectSameStats(after_stats, before_stats);
+  cascade_reference::ExpectSameAnswer(ram->ExactKnn(target, 10), before);
+}
+
+// An int8 query racing Close() holds its own reference to the tier, so the
+// level −1 scan never reads a freed tier: each query either answers exactly
+// or fails FailedPrecondition once the pool is closed.
+TEST(PagedStoreTest, Int8QueriesRacingCloseAnswerOrFailCleanly) {
+  const size_t n = 3000;
+  const std::string path = WriteSpectrumRows("close_race", n, 13);
+  Result<std::unique_ptr<PagedEmbeddingStore>> paged =
+      PagedEmbeddingStore::Open(path);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  const std::vector<double> target = SpectrumTarget((*paged)->dim(), 9);
+  Result<std::vector<std::pair<size_t, double>>> want =
+      (*paged)->ExactKnn(target, 10);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 3; ++c) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 20; ++i) {
+        Result<std::vector<std::pair<size_t, double>>> got =
+            (*paged)->CascadeKnn(target, 10);
+        if (got.ok()) {
+          cascade_reference::ExpectSameAnswer(*got, *want);
+        } else {
+          EXPECT_EQ(got.status().code(), StatusCode::kFailedPrecondition);
+        }
+      }
+    });
+  }
+  (*paged)->Close();
+  for (std::thread& t : threads) t.join();
   std::remove(path.c_str());
 }
 
